@@ -3,25 +3,10 @@
 //!
 //! Cases:
 //! * `btree/*` — the deterministic ordered-map default;
-//! * `sharded/*` — the lock-sharded hash backend, single writer;
-//! * `sharded/concurrent_*` — the sharded backend with four writer threads
-//!   **spawned per batch** folding disjoint contiguous slices through
-//!   `&TrustEngine` (the naive baseline the ROADMAP flagged: spawn/join and
-//!   shard-lock contention dominate);
-//! * `sharded/pool_affine_*_w{W}_s{S}` — the writer-count × shard-count
-//!   sweep of the shard-affine [`ObserverPool`] under its default adaptive
-//!   dispatch: `W` persistent workers each owning a disjoint set of the
-//!   engine's `S` lanes, the whole slate dispatched zero-copy as one `Arc`
-//!   batch. No lock contention, no per-slice copies, and bit-identical to
-//!   the single-threaded fold;
-//! * `sharded/pool_threads_*` — the same pool with worker-thread dispatch
-//!   forced, so the trajectory records what `Dispatch::Auto` saves (or
-//!   costs) on this host's core count;
+//! * `sharded/*` — the hash-sharded backend;
 //! * `log/batched_observe_*` — the durable [`LogBackend`]: every fold
 //!   journaled to an append-only file (fsync off, so the row prices the
 //!   frame encode + buffered write, not the disk's sync latency);
-//! * `log_writebehind/batched_observe_*` — the [`WriteBehind`] combination:
-//!   sharded front absorbing the folds, journal trailing behind;
 //! * `log/segmented_commit_*` — the same durable replay across a rotating
 //!   1 MiB segment chain: the per-rotation seal + manifest-swap cost over
 //!   the single-segment append of `log/batched_observe_*`;
@@ -96,10 +81,7 @@ use siot_core::backend::{BTreeBackend, ShardedBackend, TrustBackend};
 use siot_core::context::Context;
 use siot_core::delegation::{DelegationOutcome, DelegationRequest};
 use siot_core::goal::Goal;
-use siot_core::log_backend::{
-    FsyncPolicy, LogBackend, LogOptions, WriteBehind, DEFAULT_SEGMENT_BYTES,
-};
-use siot_core::pool::{Dispatch, ObserverPool};
+use siot_core::log_backend::{FsyncPolicy, LogBackend, LogOptions, DEFAULT_SEGMENT_BYTES};
 use siot_core::record::{ForgettingFactors, Observation};
 use siot_core::service::{
     block_on, FleetOptions, FleetTrustHandle, Freshness, RemoteTrustServer,
@@ -123,10 +105,6 @@ const WRITERS: usize = 4;
 /// The 1M-record configuration (250_000 peers × 4 tasks, distinct keys).
 const N_OBS_1M: usize = 1_000_000;
 const N_PEERS_1M: u32 = 250_000;
-
-/// The pool sweep: (writers, shards) — lanes matched to the owner count
-/// via `with_shards_for_writers` (4·W), plus an over-sharded 64-lane point.
-const POOL_SWEEP: [(usize, usize); 3] = [(2, 8), (4, 16), (4, 64)];
 
 /// Commits each service client keeps in flight before awaiting receipts:
 /// deep enough that the actor's drain finds real batches, small enough
@@ -183,51 +161,6 @@ fn bench_workload(c: &mut Criterion, label: &str, n_obs: usize, n_peers: u32) {
         })
     });
 
-    c.bench_function(
-        &format!("store_backends/sharded/concurrent_observe_{label}_x{WRITERS}"),
-        |b| {
-            let betas = ForgettingFactors::figures();
-            b.iter(|| {
-                let engine: TrustEngine<u32, ShardedBackend<u32>> = TrustEngine::new();
-                std::thread::scope(|scope| {
-                    for slice in workload.chunks(n_obs / WRITERS) {
-                        let e = &engine;
-                        let betas = &betas;
-                        scope.spawn(move || {
-                            for batch in slice.chunks(BATCH) {
-                                e.observe_batch_shared(batch, betas)
-                                    .expect("workload observations are unit-range");
-                            }
-                        });
-                    }
-                });
-                assert_eq!(engine.record_count(), n_obs);
-                black_box(engine)
-            })
-        },
-    );
-
-    for (writers, shards) in POOL_SWEEP {
-        // the pool persists across iterations — that is the point; each
-        // iteration dispatches the whole slate as one shared Arc batch
-        let pool: ObserverPool<u32> = ObserverPool::new(writers);
-        let betas = ForgettingFactors::figures();
-        c.bench_function(
-            &format!("store_backends/sharded/pool_affine_{label}_w{writers}_s{shards}"),
-            |b| {
-                b.iter(|| {
-                    let engine = Arc::new(TrustEngine::with_backend(
-                        ShardedBackend::<u32>::with_shards(shards),
-                    ));
-                    pool.observe_batch_arc(&engine, Arc::clone(&workload), &betas)
-                        .expect("workload observations are unit-range");
-                    assert_eq!(engine.record_count(), n_obs);
-                    black_box(engine)
-                })
-            },
-        );
-    }
-
     // durable backends: same workload, every fold journaled to disk
     let log_dir = bench_dir(&format!("log-{label}"));
     c.bench_function(&format!("store_backends/log/batched_observe_{label}"), |b| {
@@ -256,20 +189,6 @@ fn bench_workload(c: &mut Criterion, label: &str, n_obs: usize, n_peers: u32) {
         })
     });
     let _ = std::fs::remove_dir_all(&seg_dir);
-
-    let wb_dir = bench_dir(&format!("wb-{label}"));
-    c.bench_function(&format!("store_backends/log_writebehind/batched_observe_{label}"), |b| {
-        b.iter(|| {
-            let _ = std::fs::remove_dir_all(&wb_dir);
-            let backend =
-                WriteBehind::<u32>::open_with(&wb_dir, NO_FSYNC, ShardedBackend::default())
-                    .expect("bench dir opens");
-            let count = replay_into(backend, black_box(&workload));
-            assert_eq!(count, n_obs);
-            black_box(count)
-        })
-    });
-    let _ = std::fs::remove_dir_all(&wb_dir);
 
     // the service facade end to end: sessions built client-side, pipelined
     // through handles, drained into commit_batch passes by the actor
@@ -522,22 +441,6 @@ fn bench_workload(c: &mut Criterion, label: &str, n_obs: usize, n_peers: u32) {
                 .sum();
             assert_eq!(total, n_obs);
             black_box(total)
-        })
-    });
-
-    // forced worker-thread dispatch, recorded so the trajectory shows what
-    // Auto saves (or costs) on this host's core count
-    let pool: ObserverPool<u32> = ObserverPool::with_dispatch(WRITERS, Dispatch::Workers);
-    let betas = ForgettingFactors::figures();
-    c.bench_function(&format!("store_backends/sharded/pool_threads_{label}_w{WRITERS}_s16"), |b| {
-        b.iter(|| {
-            let engine = Arc::new(TrustEngine::with_backend(
-                ShardedBackend::<u32>::with_shards_for_writers(WRITERS),
-            ));
-            pool.observe_batch_arc(&engine, Arc::clone(&workload), &betas)
-                .expect("workload observations are unit-range");
-            assert_eq!(engine.record_count(), n_obs);
-            black_box(engine)
         })
     });
 }

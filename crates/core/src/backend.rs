@@ -8,12 +8,10 @@
 //! * [`BTreeBackend`] — the original ordered map. Iteration order is the key
 //!   order, making every simulation built on top bit-for-bit deterministic.
 //!   The right default for experiments and small agents.
-//! * [`ShardedBackend`] — records partitioned by peer across
-//!   lock-protected hash shards. `&mut` access bypasses the locks entirely;
-//!   shared (`&self`) access locks only the one shard a peer lives in, so
-//!   threads touching different peers proceed in parallel. Aimed at
-//!   high-peer-count workloads where a single agent tracks thousands to
-//!   millions of peers.
+//! * [`ShardedBackend`] — records partitioned by peer across hash shards,
+//!   so batched folds walk one small map at a time while it is hot in
+//!   cache. Aimed at high-peer-count workloads where a single agent tracks
+//!   thousands to millions of peers.
 //!
 //! ## The iterator contract
 //!
@@ -33,8 +31,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
 
 /// Storage of per-`(peer, task)` trust records.
 ///
@@ -63,7 +59,7 @@ pub trait TrustBackend<P: Copy + Ord>: Default + Clone + fmt::Debug {
 
     /// Applies one read-modify-write per batch element; `f` receives the
     /// batch index and the existing record. Backends override this to
-    /// amortize per-item lookup costs (shard routing, locking).
+    /// amortize per-item lookup costs (shard routing, journal appends).
     fn update_batch(
         &mut self,
         items: &[(P, TaskId)],
@@ -126,7 +122,7 @@ pub trait TrustBackend<P: Copy + Ord>: Default + Clone + fmt::Debug {
     /// Durability hook: the **group-commit barrier**. The engine calls it
     /// once per write operation — after *all* of a batch's records and
     /// usage logs are appended — and a durable backend whose policy
-    /// demands per-operation durability (the log backends under
+    /// demands per-operation durability (the log backend under
     /// [`FsyncPolicy::Always`](crate::log::FsyncPolicy::Always)) issues
     /// one fsync covering everything appended since the last barrier.
     /// Everything acknowledged past a returned `Ok` is on disk; a batch of
@@ -135,92 +131,6 @@ pub trait TrustBackend<P: Copy + Ord>: Default + Clone + fmt::Debug {
     /// the surface-once point. A no-op `Ok(())` for in-memory backends
     /// and under the other fsync policies.
     fn commit_barrier(&mut self) -> Result<(), TrustError> {
-        Ok(())
-    }
-}
-
-/// A backend whose shared (`&self`) handle supports concurrent writers.
-///
-/// Implementations must be safe to call from multiple threads at once;
-/// writes to the same `(peer, task)` serialize, writes to different peers
-/// may proceed in parallel.
-///
-/// ## Write lanes
-///
-/// Concurrent backends additionally expose their internal write topology as
-/// **lanes**: [`write_lanes`](Self::write_lanes) independently lockable
-/// partitions, with [`lane_of`](Self::lane_of) mapping every peer to the one
-/// lane its records live in — stable for the backend's lifetime. A caller
-/// that partitions lanes across writer threads (the
-/// [`ObserverPool`](crate::pool::ObserverPool)) gets contention-free writes
-/// *and* a deterministic fold order: all observations of one peer pass
-/// through one lane, and [`update_lane_run_shared`](Self::update_lane_run_shared)
-/// applies a pre-routed run in the caller's order under a single lock
-/// acquisition. Backends without internal partitioning report one lane, which
-/// degrades a lane-affine caller to sequential folding — slower, never wrong.
-pub trait ConcurrentTrustBackend<P: Copy + Ord>: TrustBackend<P> + Sync {
-    /// Shared-handle snapshot of the record for `(peer, task)`.
-    fn get_shared(&self, peer: P, task: TaskId) -> Option<TrustRecord>;
-
-    /// Shared-handle read-modify-write (see [`TrustBackend::update`]).
-    fn update_shared(
-        &self,
-        peer: P,
-        task: TaskId,
-        f: &mut dyn FnMut(Option<TrustRecord>) -> TrustRecord,
-    );
-
-    /// Shared-handle batch variant; locks each shard once per contiguous
-    /// run instead of once per record.
-    fn update_batch_shared(
-        &self,
-        items: &[(P, TaskId)],
-        f: &mut dyn FnMut(usize, Option<TrustRecord>) -> TrustRecord,
-    ) {
-        for (i, &(peer, task)) in items.iter().enumerate() {
-            self.update_shared(peer, task, &mut |prior| f(i, prior));
-        }
-    }
-
-    /// Number of independently writable lanes (≥ 1). Writes routed to
-    /// different lanes never contend.
-    fn write_lanes(&self) -> usize {
-        1
-    }
-
-    /// The lane `peer`'s records live in (`< write_lanes()`), stable for
-    /// the backend's lifetime.
-    fn lane_of(&self, peer: P) -> usize {
-        let _ = peer;
-        0
-    }
-
-    /// Shared-handle read-modify-write over one lane's pre-routed run:
-    /// every `i` in `indices` selects a batch element whose key is
-    /// `key_of(i)` and whose peer routes to `lane` (callers route with
-    /// [`lane_of`](Self::lane_of), hashing each peer exactly once).
-    /// Elements are applied in `indices` order; implementations hold the
-    /// lane's lock once for the whole run. The default falls back to
-    /// per-item [`update_shared`](Self::update_shared).
-    fn update_lane_run_shared(
-        &self,
-        lane: usize,
-        indices: &[usize],
-        key_of: &dyn Fn(usize) -> (P, TaskId),
-        f: &mut dyn FnMut(usize, Option<TrustRecord>) -> TrustRecord,
-    ) {
-        let _ = lane;
-        for &i in indices {
-            let (peer, task) = key_of(i);
-            self.update_shared(peer, task, &mut |prior| f(i, prior));
-        }
-    }
-
-    /// Shared-handle [`commit_barrier`](TrustBackend::commit_barrier):
-    /// the fsync covers every append that completed before the call,
-    /// across all lanes and threads. A no-op `Ok(())` for in-memory
-    /// backends.
-    fn commit_barrier_shared(&self) -> Result<(), TrustError> {
         Ok(())
     }
 }
@@ -296,43 +206,31 @@ type FixedState = BuildHasherDefault<DefaultHasher>;
 
 type Shard<P> = HashMap<P, BTreeMap<TaskId, TrustRecord>, FixedState>;
 
-/// Hash-sharded backend with per-shard interior mutability.
+/// Hash-sharded backend: one small map per shard instead of one big one.
 ///
 /// Records are partitioned by *peer* (not `(peer, task)`), so one peer's
 /// records always live in a single shard: `for_each_experience` touches one
-/// lock, and the per-peer `BTreeMap` keeps the ascending-`TaskId` iterator
+/// map, and the per-peer `BTreeMap` keeps the ascending-`TaskId` iterator
 /// contract for free.
+#[derive(Clone)]
 pub struct ShardedBackend<P> {
-    shards: Box<[RwLock<Shard<P>>]>,
+    shards: Box<[Shard<P>]>,
     /// Total `(peer, task)` records, maintained on insert paths so `len`
-    /// does not take every shard lock.
-    count: AtomicUsize,
+    /// does not walk every shard.
+    count: usize,
 }
 
 impl<P> ShardedBackend<P> {
-    /// Default shard count — enough lanes for a few dozen writer threads.
+    /// Default shard count.
     pub const DEFAULT_SHARDS: usize = 16;
 
-    /// A backend with `shards` lanes (rounded up to a power of two, min 1).
+    /// A backend with `shards` shards (rounded up to a power of two, min 1).
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
-        ShardedBackend {
-            shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
-            count: AtomicUsize::new(0),
-        }
+        ShardedBackend { shards: (0..n).map(|_| Shard::default()).collect(), count: 0 }
     }
 
-    /// A backend sized for `writers` lane-owning worker threads: four lanes
-    /// per writer (rounded up to a power of two), so hash skew across peers
-    /// averages out inside each owner's lane set while every writer still
-    /// owns at least one lane. This is the shard count the shard-affine
-    /// [`ObserverPool`](crate::pool::ObserverPool) expects its engines to be
-    /// built with.
-    pub fn with_shards_for_writers(writers: usize) -> Self {
-        Self::with_shards(writers.max(1).saturating_mul(4))
-    }
-
-    /// Number of shard lanes.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -346,17 +244,9 @@ impl<P: Copy + Ord + Hash> ShardedBackend<P> {
         (h.finish() as usize) & (self.shards.len() - 1)
     }
 
-    fn read(&self, idx: usize) -> std::sync::RwLockReadGuard<'_, Shard<P>> {
-        self.shards[idx].read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn write(&self, idx: usize) -> std::sync::RwLockWriteGuard<'_, Shard<P>> {
-        self.shards[idx].write().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn upsert_in(
         shard: &mut Shard<P>,
-        count: &AtomicUsize,
+        count: &mut usize,
         peer: P,
         task: TaskId,
         f: &mut dyn FnMut(Option<TrustRecord>) -> TrustRecord,
@@ -366,19 +256,9 @@ impl<P: Copy + Ord + Hash> ShardedBackend<P> {
             Some(rec) => *rec = f(Some(*rec)),
             None => {
                 per_peer.insert(task, f(None));
-                count.fetch_add(1, Ordering::Relaxed);
+                *count += 1;
             }
         }
-    }
-
-    /// Buckets batch-item indices by destination shard, so both batch paths
-    /// visit each lane exactly once.
-    fn group_by_shard(&self, items: &[(P, TaskId)]) -> Vec<Vec<usize>> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, &(peer, _)) in items.iter().enumerate() {
-            by_shard[self.shard_index(peer)].push(i);
-        }
-        by_shard
     }
 }
 
@@ -388,41 +268,24 @@ impl<P> Default for ShardedBackend<P> {
     }
 }
 
-impl<P: Copy + Ord + Hash> Clone for ShardedBackend<P> {
-    fn clone(&self) -> Self {
-        let shards: Box<[RwLock<Shard<P>>]> = self
-            .shards
-            .iter()
-            .map(|s| RwLock::new(s.read().unwrap_or_else(|e| e.into_inner()).clone()))
-            .collect();
-        ShardedBackend { shards, count: AtomicUsize::new(self.count.load(Ordering::Relaxed)) }
-    }
-}
-
-impl<P: Copy + Ord + Hash + fmt::Debug> fmt::Debug for ShardedBackend<P> {
+impl<P> fmt::Debug for ShardedBackend<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedBackend")
             .field("shards", &self.shards.len())
-            .field("records", &self.count.load(Ordering::Relaxed))
+            .field("records", &self.count)
             .finish_non_exhaustive()
     }
 }
 
-impl<P: Copy + Ord + Hash> TrustBackend<P> for ShardedBackend<P>
-where
-    P: fmt::Debug,
-{
+impl<P: Copy + Ord + Hash + fmt::Debug> TrustBackend<P> for ShardedBackend<P> {
     fn get(&self, peer: P, task: TaskId) -> Option<TrustRecord> {
-        let idx = self.shard_index(peer);
-        // &mut-free read path; uncontended in single-threaded use
-        self.read(idx).get(&peer).and_then(|m| m.get(&task)).copied()
+        self.shards[self.shard_index(peer)].get(&peer).and_then(|m| m.get(&task)).copied()
     }
 
     fn insert(&mut self, peer: P, task: TaskId, rec: TrustRecord) {
         let idx = self.shard_index(peer);
-        let shard = self.shards[idx].get_mut().unwrap_or_else(|e| e.into_inner());
-        if shard.entry(peer).or_default().insert(task, rec).is_none() {
-            self.count.fetch_add(1, Ordering::Relaxed);
+        if self.shards[idx].entry(peer).or_default().insert(task, rec).is_none() {
+            self.count += 1;
         }
     }
 
@@ -433,8 +296,7 @@ where
         f: &mut dyn FnMut(Option<TrustRecord>) -> TrustRecord,
     ) {
         let idx = self.shard_index(peer);
-        let shard = self.shards[idx].get_mut().unwrap_or_else(|e| e.into_inner());
-        Self::upsert_in(shard, &self.count, peer, task, f);
+        Self::upsert_in(&mut self.shards[idx], &mut self.count, peer, task, f);
     }
 
     fn update_batch(
@@ -442,23 +304,21 @@ where
         items: &[(P, TaskId)],
         f: &mut dyn FnMut(usize, Option<TrustRecord>) -> TrustRecord,
     ) {
-        // Group by shard so each lane's map is walked while hot in cache;
-        // `&mut self` already means the locks are uncontended.
-        for (idx, indices) in self.group_by_shard(items).into_iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let shard = self.shards[idx].get_mut().unwrap_or_else(|e| e.into_inner());
+        // Group by shard so each shard's map is walked while hot in cache.
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for (i, &(peer, _)) in items.iter().enumerate() {
+            by_shard[self.shard_index(peer)].push(i);
+        }
+        for (shard, indices) in self.shards.iter_mut().zip(by_shard) {
             for i in indices {
                 let (peer, task) = items[i];
-                Self::upsert_in(shard, &self.count, peer, task, &mut |prior| f(i, prior));
+                Self::upsert_in(shard, &mut self.count, peer, task, &mut |prior| f(i, prior));
             }
         }
     }
 
     fn for_each_experience(&self, peer: P, f: &mut dyn FnMut(TaskId, TrustRecord)) {
-        let idx = self.shard_index(peer);
-        if let Some(per_peer) = self.read(idx).get(&peer) {
+        if let Some(per_peer) = self.shards[self.shard_index(peer)].get(&peer) {
             for (&tid, &rec) in per_peer {
                 f(tid, rec);
             }
@@ -469,10 +329,8 @@ where
         // `count` tallies (peer, task) records, an upper bound on distinct
         // peers: one up-front allocation instead of amortized growth from
         // empty (trustee search hammers this read path)
-        let mut peers = Vec::with_capacity(self.count.load(Ordering::Relaxed));
-        for idx in 0..self.shards.len() {
-            let shard = self.read(idx);
-            peers.reserve(shard.len());
+        let mut peers = Vec::with_capacity(self.count);
+        for shard in self.shards.iter() {
             peers.extend(shard.keys().copied());
         }
         // a peer lives in exactly one shard, so sorting alone restores the
@@ -482,78 +340,14 @@ where
     }
 
     fn len(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
     fn clear(&mut self) {
         for shard in self.shards.iter_mut() {
-            shard.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
+            shard.clear();
         }
-        self.count.store(0, Ordering::Relaxed);
-    }
-}
-
-impl<P: Copy + Ord + Hash + Send + Sync + fmt::Debug> ConcurrentTrustBackend<P>
-    for ShardedBackend<P>
-{
-    fn get_shared(&self, peer: P, task: TaskId) -> Option<TrustRecord> {
-        let idx = self.shard_index(peer);
-        self.read(idx).get(&peer).and_then(|m| m.get(&task)).copied()
-    }
-
-    fn update_shared(
-        &self,
-        peer: P,
-        task: TaskId,
-        f: &mut dyn FnMut(Option<TrustRecord>) -> TrustRecord,
-    ) {
-        let idx = self.shard_index(peer);
-        let mut shard = self.write(idx);
-        Self::upsert_in(&mut shard, &self.count, peer, task, f);
-    }
-
-    fn update_batch_shared(
-        &self,
-        items: &[(P, TaskId)],
-        f: &mut dyn FnMut(usize, Option<TrustRecord>) -> TrustRecord,
-    ) {
-        // Lock each lane once for its whole slice of the batch.
-        for (idx, indices) in self.group_by_shard(items).into_iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let mut shard = self.write(idx);
-            for i in indices {
-                let (peer, task) = items[i];
-                Self::upsert_in(&mut shard, &self.count, peer, task, &mut |prior| f(i, prior));
-            }
-        }
-    }
-
-    fn write_lanes(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn lane_of(&self, peer: P) -> usize {
-        self.shard_index(peer)
-    }
-
-    fn update_lane_run_shared(
-        &self,
-        lane: usize,
-        indices: &[usize],
-        key_of: &dyn Fn(usize) -> (P, TaskId),
-        f: &mut dyn FnMut(usize, Option<TrustRecord>) -> TrustRecord,
-    ) {
-        if indices.is_empty() {
-            return;
-        }
-        let mut shard = self.write(lane);
-        for &i in indices {
-            let (peer, task) = key_of(i);
-            debug_assert_eq!(self.shard_index(peer), lane, "mis-routed lane run");
-            Self::upsert_in(&mut shard, &self.count, peer, task, &mut |prior| f(i, prior));
-        }
+        self.count = 0;
     }
 }
 
@@ -648,65 +442,6 @@ mod tests {
         for &(p, t) in &items {
             assert_eq!(a.get(p, t), b.get(p, t));
         }
-    }
-
-    #[test]
-    fn writer_sizing_gives_each_writer_lanes() {
-        let b = ShardedBackend::<u32>::with_shards_for_writers(4);
-        assert_eq!(b.shard_count(), 16);
-        assert_eq!(b.write_lanes(), 16);
-        assert_eq!(ShardedBackend::<u32>::with_shards_for_writers(0).shard_count(), 4);
-        assert_eq!(ShardedBackend::<u32>::with_shards_for_writers(3).shard_count(), 16);
-    }
-
-    #[test]
-    fn lane_runs_match_per_item_updates() {
-        let items: Vec<(u32, TaskId)> = (0..200).map(|i| (i % 31, TaskId(i / 31))).collect();
-        let bump = |prior: Option<TrustRecord>| match prior {
-            Some(mut r) => {
-                r.interactions += 1;
-                r
-            }
-            None => rec(0.5),
-        };
-
-        let reference = ShardedBackend::<u32>::with_shards_for_writers(2);
-        for &(p, t) in &items {
-            reference.update_shared(p, t, &mut |prior| bump(prior));
-        }
-
-        let routed = ShardedBackend::<u32>::with_shards_for_writers(2);
-        let mut runs: Vec<Vec<usize>> = vec![Vec::new(); routed.write_lanes()];
-        for (i, &(p, _)) in items.iter().enumerate() {
-            assert!(routed.lane_of(p) < routed.write_lanes());
-            runs[routed.lane_of(p)].push(i);
-        }
-        for (lane, indices) in runs.iter().enumerate() {
-            routed
-                .update_lane_run_shared(lane, indices, &|i| items[i], &mut |_, prior| bump(prior));
-        }
-
-        assert_eq!(reference.len(), routed.len());
-        for &(p, t) in &items {
-            assert_eq!(reference.get(p, t), routed.get(p, t));
-        }
-    }
-
-    #[test]
-    fn concurrent_updates_land() {
-        let backend = ShardedBackend::<u32>::default();
-        std::thread::scope(|scope| {
-            for t in 0..4u32 {
-                let b = &backend;
-                scope.spawn(move || {
-                    for i in 0..250u32 {
-                        b.update_shared(t * 1000 + i, TaskId(0), &mut |_| rec(0.5));
-                    }
-                });
-            }
-        });
-        assert_eq!(backend.len(), 1000);
-        assert_eq!(backend.known_peers().len(), 1000);
     }
 
     #[test]

@@ -24,10 +24,13 @@ pub enum TrustError {
         /// How many characteristics had no covering experience.
         missing: usize,
     },
-    /// An [`ObserverPool`](crate::pool::ObserverPool) worker panicked while
-    /// folding a dispatched batch. Validation happens before dispatch, so
-    /// this signals a bug in the fold path (or a panicking backend), not bad
-    /// input; the batch may be partially folded.
+    /// A service actor thread panicked: joining it in
+    /// [`TrustService::shutdown`](crate::service::TrustService::shutdown) /
+    /// [`ShardedTrustService::shutdown`](crate::service::ShardedTrustService::shutdown)
+    /// found no engine to hand back. Observations are validated before they
+    /// reach the actor, so this signals a bug in the fold path (or a
+    /// panicking backend), not bad input; the drain it was folding may be
+    /// partially applied.
     WorkerPanicked,
     /// A persisted trust-state file failed integrity validation at a point
     /// recovery must not skip: a *non-tail* log frame with a bad checksum,
@@ -99,7 +102,7 @@ impl fmt::Display for TrustError {
             TrustError::WorkerPanicked => {
                 write!(
                     f,
-                    "an observer-pool worker panicked mid-batch (batch may be partially folded)"
+                    "a trust-service actor thread panicked (its last drain may be partially folded)"
                 )
             }
             TrustError::Corrupt { what, offset } => {

@@ -21,13 +21,12 @@
 //!
 //! Trust *state* lives behind the [`store::TrustEngine`] facade, whose
 //! storage is pluggable via [`backend::TrustBackend`]: the deterministic
-//! [`backend::BTreeBackend`] (the `TrustStore` default), the lock-sharded
-//! [`backend::ShardedBackend`] for high-peer-count workloads (with the
-//! shard-affine [`pool::ObserverPool`] folding batches through persistent
-//! lane-owning workers, bit-identically to sequential folding), or the
-//! durable [`log_backend::LogBackend`] / [`log_backend::WriteBehind`] —
-//! an append-only checksummed record log with snapshot compaction and
-//! replay-on-open recovery, so trust state survives restarts. Live
+//! [`backend::BTreeBackend`] (the `TrustStore` default), the hash-sharded
+//! [`backend::ShardedBackend`] for high-peer-count workloads, or the
+//! durable [`log_backend::LogBackend`] — an append-only checksummed record
+//! log with snapshot compaction and replay-on-open recovery, so trust state
+//! survives restarts. Every backend is single-writer (`&mut`); several
+//! writers share one engine through the [`service`] actors. Live
 //! interactions flow through the
 //! [`delegation`] session — `delegate → evaluate → decide → execute` — so
 //! feedback is validated, environment-corrected and counted exactly once;
@@ -93,7 +92,6 @@ pub mod log;
 pub mod log_backend;
 pub mod mutuality;
 pub mod policy;
-pub mod pool;
 pub mod record;
 pub mod service;
 pub mod store;
@@ -103,7 +101,7 @@ pub mod tw;
 
 /// One-stop import for the common types.
 pub mod prelude {
-    pub use crate::backend::{BTreeBackend, ConcurrentTrustBackend, ShardedBackend, TrustBackend};
+    pub use crate::backend::{BTreeBackend, ShardedBackend, TrustBackend};
     pub use crate::context::Context;
     pub use crate::delegation::{
         ActiveDelegation, CompletedDelegation, Decision, DeclineReason, DelegationOutcome,
@@ -115,10 +113,9 @@ pub mod prelude {
     pub use crate::evaluate::{net_profit, prefers_delegation, trustee_decision, TrusteeDecision};
     pub use crate::goal::Goal;
     pub use crate::infer::{infer_characteristic, infer_task, Experience};
-    pub use crate::log_backend::{FsyncPolicy, LogBackend, LogKey, LogOptions, WriteBehind};
+    pub use crate::log_backend::{FsyncPolicy, LogBackend, LogKey, LogOptions};
     pub use crate::mutuality::{ReverseEvaluator, UsageLog};
     pub use crate::policy::{GainOnly, HighestSuccessRate, MaxNetProfit, SelectionPolicy};
-    pub use crate::pool::{Dispatch, ObserverPool};
     pub use crate::record::{ForgettingFactors, Observation, TrustRecord};
     pub use crate::service::{
         Cut, DedupWindow, Fault, FaultPlan, FaultProxy, FleetCut, FleetOptions, FleetTrustHandle,

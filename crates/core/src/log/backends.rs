@@ -1,24 +1,16 @@
-//! The two durable backends over the segmented journal: [`LogBackend`]
-//! (ordered map, exclusive writers) and [`WriteBehind`] (sharded front,
-//! concurrent writers).
+//! The durable backend over the segmented journal: [`LogBackend`].
 
 use super::frames::{encode_frame, Frame};
 use super::journal::{ChurnCompact, Journal};
 use super::{LogKey, LogOptions, BUFFER_SPILL, MAX_COMPACTED_SEGMENTS};
-use crate::backend::{ConcurrentTrustBackend, ShardedBackend, TrustBackend};
+use crate::backend::TrustBackend;
 use crate::error::TrustError;
 use crate::mutuality::UsageLog;
 use crate::record::TrustRecord;
 use crate::task::TaskId;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::Hash;
 use std::path::Path;
-use std::sync::Mutex;
-
-// ---------------------------------------------------------------------------
-// LogBackend
-// ---------------------------------------------------------------------------
 
 /// The durable ordered-map backend: a [`BTreeBackend`]-layout in-memory map
 /// mirrored into the segmented journal described in the [module
@@ -50,8 +42,8 @@ impl<P: LogKey> Default for LogBackend<P> {
 impl<P: LogKey> LogBackend<P> {
     /// Opens (or creates) a durable backend in `dir` with default options:
     /// replays the manifest's segment chain (truncating a torn tail frame
-    /// on the active segment), migrating a version-1 directory if that is
-    /// what `dir` holds.
+    /// on the active segment). A version-1 directory is refused with
+    /// [`TrustError::UnsupportedFormat`] and left untouched.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, TrustError> {
         Self::open_with(dir, LogOptions::default())
     }
@@ -239,401 +231,6 @@ impl<P: LogKey + fmt::Debug> TrustBackend<P> for LogBackend<P> {
 
     fn commit_barrier(&mut self) -> Result<(), TrustError> {
         self.journal.commit_barrier()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WriteBehind
-// ---------------------------------------------------------------------------
-
-/// A [`ShardedBackend`] fronting the durable journal as a cache.
-///
-/// All reads and folds hit the sharded in-memory front — including the
-/// concurrent shared-handle paths ([`ConcurrentTrustBackend`]), so an
-/// [`ObserverPool`](crate::pool::ObserverPool) can drive it exactly like a
-/// plain `ShardedBackend` — while every folded record is also journaled.
-/// Frame appends happen under the front's per-lane lock (lane → journal
-/// lock order everywhere), so the journal's per-key frame order always
-/// matches fold order and replay lands on the exact final state.
-///
-/// Durability is **write-behind**: frames buffer until
-/// [`flush`](Self::flush)/[`sync`](Self::sync) (both usable through a
-/// shared `&self`, e.g. via [`TrustEngine::backend`]), a commit barrier
-/// (under [`FsyncPolicy::Always`](super::FsyncPolicy::Always)), a buffer
-/// spill, or drop. A consistent snapshot needs exclusive access, so
-/// compaction runs via [`Self::compact`]/[`Self::compact_churned`] or the
-/// `compact_every` auto-trigger on the `&mut` write paths — purely shared
-/// writers compact whenever the owner regains `&mut` (the IoT
-/// coordinator's `compact_ledger` is the model).
-///
-/// Journal appends are **batched per lane run**: the shared batch paths
-/// ([`update_batch_shared`](ConcurrentTrustBackend::update_batch_shared),
-/// [`update_lane_run_shared`](ConcurrentTrustBackend::update_lane_run_shared)
-/// — the [`ObserverPool`](crate::pool::ObserverPool) dispatch seam) encode
-/// a run's frames into a local buffer while folding and take the journal
-/// mutex **once per run**, not once per record. The buffered append still
-/// happens on the run's last fold, *under the front's lane lock*, so the
-/// journal's per-key frame order always equals fold order even with
-/// concurrent writers on overlapping keys. Only the single-record
-/// [`update_shared`](ConcurrentTrustBackend::update_shared) pays the
-/// per-record mutex.
-///
-/// [`TrustEngine::backend`]: crate::store::TrustEngine::backend
-pub struct WriteBehind<P: LogKey + Hash> {
-    front: ShardedBackend<P>,
-    journal: Mutex<Journal<P>>,
-}
-
-impl<P: LogKey + Hash> Default for WriteBehind<P> {
-    fn default() -> Self {
-        WriteBehind {
-            front: ShardedBackend::default(),
-            journal: Mutex::new(Journal::ephemeral(LogOptions::default())),
-        }
-    }
-}
-
-impl<P: LogKey + Hash> WriteBehind<P> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Journal<P>> {
-        self.journal.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Run-scoped frame buffer for [`WriteBehind`]'s batched write paths. On
-/// the normal path the run's frames are appended in one shot — from the
-/// last fold on the shared paths (under the front's lane lock). If a fold
-/// closure panics mid-run, `Drop` appends whatever already folded during
-/// unwinding — the front holds those records, so losing their frames
-/// would make a later reopen silently revert them (the
-/// replay-matches-front invariant). The unwind-path append happens after
-/// the lane lock is gone, so its ordering guarantee is only best-effort —
-/// acceptable for what is by definition a bug in the fold path
-/// (`TrustError::WorkerPanicked`), where the batch is already documented
-/// as partially folded.
-///
-/// Holds the journal mutex (not the whole backend) so the exclusive
-/// paths could borrow it alongside `&mut front`.
-struct RunFrames<'a, P: LogKey> {
-    journal: &'a Mutex<Journal<P>>,
-    buf: Vec<u8>,
-    frames: u64,
-}
-
-impl<'a, P: LogKey> RunFrames<'a, P> {
-    fn new(journal: &'a Mutex<Journal<P>>, run_len: usize) -> Self {
-        RunFrames { journal, buf: Vec::with_capacity((run_len * 64).min(BUFFER_SPILL)), frames: 0 }
-    }
-
-    fn push(&mut self, peer: P, task: TaskId, rec: TrustRecord) {
-        encode_frame(&mut self.buf, &Frame::PutRecord { peer, task, rec });
-        self.frames += 1;
-    }
-
-    fn append_now(&mut self) {
-        if !self.buf.is_empty() {
-            self.journal
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .append_encoded(&self.buf, self.frames);
-            self.buf.clear();
-            self.frames = 0;
-        }
-    }
-}
-
-impl<P: LogKey> Drop for RunFrames<'_, P> {
-    fn drop(&mut self) {
-        self.append_now();
-    }
-}
-
-impl<P: LogKey + Hash + Send + Sync + fmt::Debug> WriteBehind<P> {
-    /// Folds one pre-routed lane run, journaling the whole run with **one**
-    /// journal-mutex acquisition: frames are encoded into a run-local
-    /// buffer as records fold, and the buffered append happens on the
-    /// run's last fold — still inside the front's lane lock, so a later
-    /// writer to this lane (and therefore to any of its keys) can only
-    /// append *after* this run. Per-key journal order = fold order, at a
-    /// per-run instead of per-record mutex cost. A panicking fold closure
-    /// still journals the records that folded before it (see
-    /// [`RunFrames`]).
-    fn journaled_lane_run(
-        &self,
-        lane: usize,
-        indices: &[usize],
-        key_of: &dyn Fn(usize) -> (P, TaskId),
-        f: &mut dyn FnMut(usize, Option<TrustRecord>) -> TrustRecord,
-    ) {
-        let mut run = RunFrames::new(&self.journal, indices.len());
-        let mut left = indices.len();
-        self.front.update_lane_run_shared(lane, indices, key_of, &mut |i, prior| {
-            let rec = f(i, prior);
-            let (peer, task) = key_of(i);
-            run.push(peer, task, rec);
-            left -= 1;
-            if left == 0 {
-                run.append_now();
-            }
-            rec
-        });
-    }
-}
-
-impl<P: LogKey + Hash + fmt::Debug> WriteBehind<P> {
-    /// Opens (or creates) a durable write-behind backend in `dir` with the
-    /// default sharded front and options.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, TrustError> {
-        Self::open_with(dir, LogOptions::default(), ShardedBackend::default())
-    }
-
-    /// [`Self::open`] with explicit options and a pre-sized front (e.g.
-    /// [`ShardedBackend::with_shards_for_writers`] when pairing with a
-    /// pool). Recovered records are loaded into the front.
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        options: LogOptions,
-        mut front: ShardedBackend<P>,
-    ) -> Result<Self, TrustError> {
-        let (journal, recovered) = Journal::open(dir.as_ref(), options)?;
-        for ((peer, task), rec) in recovered {
-            front.insert(peer, task, rec);
-        }
-        Ok(WriteBehind { front, journal: Mutex::new(journal) })
-    }
-
-    /// Whether this backend persists to disk.
-    pub fn is_durable(&self) -> bool {
-        self.lock().is_durable()
-    }
-
-    /// Pushes buffered frames down (fsync per policy) through a shared
-    /// handle and surfaces any sticky append failure.
-    pub fn flush(&self) -> Result<(), TrustError> {
-        self.lock().flush()
-    }
-
-    /// [`Self::flush`] with the fsync forced regardless of policy.
-    pub fn sync(&self) -> Result<(), TrustError> {
-        self.lock().sync()
-    }
-
-    /// Frames appended since the last compaction.
-    pub fn frames_since_compaction(&self) -> u64 {
-        self.lock().frames_since_compact
-    }
-
-    /// Segments in the committed chain (0 when ephemeral).
-    pub fn segments(&self) -> usize {
-        self.lock().segments()
-    }
-
-    /// Compacted segments leading the chain (0 when ephemeral).
-    pub fn compacted_segments(&self) -> usize {
-        self.lock().compacted_segments()
-    }
-
-    /// Full compaction: rewrites the complete front state as one compacted
-    /// segment and resets the chain. Exclusive access guarantees the
-    /// snapshot is consistent.
-    pub fn compact(&mut self) -> Result<(), TrustError> {
-        let mut records: Vec<(P, TaskId, TrustRecord)> = Vec::with_capacity(self.front.len());
-        for peer in self.front.known_peers() {
-            self.front.for_each_experience(peer, &mut |task, rec| records.push((peer, task, rec)));
-        }
-        self.journal.get_mut().unwrap_or_else(|e| e.into_inner()).compact_from(records.into_iter())
-    }
-
-    /// Incremental compaction — O(churn), not O(front state); falls back
-    /// to [`Self::compact`] when the window holds a `clear` or the chain
-    /// carries [`MAX_COMPACTED_SEGMENTS`] incremental snapshots.
-    pub fn compact_churned(&mut self) -> Result<(), TrustError> {
-        let journal = self.journal.get_mut().unwrap_or_else(|e| e.into_inner());
-        if journal.compacted_segments() >= MAX_COMPACTED_SEGMENTS {
-            return self.compact();
-        }
-        match journal.compact_churned()? {
-            ChurnCompact::Done => Ok(()),
-            ChurnCompact::NeedsFull => self.compact(),
-        }
-    }
-
-    /// `compact_every` auto-trigger for the exclusive (`&mut`) write paths.
-    /// The shared-handle paths cannot compact (a consistent fallback
-    /// snapshot needs exclusive access), so a purely shared writer checks
-    /// the threshold whenever it regains `&mut` — or compacts explicitly.
-    fn after_write_mut(&mut self) {
-        let journal = self.journal.get_mut().unwrap_or_else(|e| e.into_inner());
-        let every = journal.options.compact_every;
-        if every > 0 && journal.frames_since_compact >= every {
-            if let Err(e) = self.compact_churned() {
-                // sticky; the next flush/sync surfaces it
-                self.journal.get_mut().unwrap_or_else(|p| p.into_inner()).fail(e.to_string());
-            }
-        }
-    }
-}
-
-impl<P: LogKey + Hash> Clone for WriteBehind<P> {
-    /// Like [`LogBackend`]: the clone keeps the front's state but detaches
-    /// from the file.
-    fn clone(&self) -> Self {
-        WriteBehind { front: self.front.clone(), journal: Mutex::new(self.lock().clone()) }
-    }
-}
-
-impl<P: LogKey + Hash + fmt::Debug> fmt::Debug for WriteBehind<P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WriteBehind")
-            .field("front", &self.front)
-            .field("journal", &*self.lock())
-            .finish()
-    }
-}
-
-impl<P: LogKey + Hash + fmt::Debug> TrustBackend<P> for WriteBehind<P> {
-    fn get(&self, peer: P, task: TaskId) -> Option<TrustRecord> {
-        self.front.get(peer, task)
-    }
-
-    fn insert(&mut self, peer: P, task: TaskId, rec: TrustRecord) {
-        self.front.insert(peer, task, rec);
-        self.journal.get_mut().unwrap_or_else(|e| e.into_inner()).append_record(peer, task, rec);
-        self.after_write_mut();
-    }
-
-    fn update(
-        &mut self,
-        peer: P,
-        task: TaskId,
-        f: &mut dyn FnMut(Option<TrustRecord>) -> TrustRecord,
-    ) {
-        let journal = self.journal.get_mut().unwrap_or_else(|e| e.into_inner());
-        self.front.update(peer, task, &mut |prior| {
-            let rec = f(prior);
-            journal.append_record(peer, task, rec);
-            rec
-        });
-        self.after_write_mut();
-    }
-
-    fn update_batch(
-        &mut self,
-        items: &[(P, TaskId)],
-        f: &mut dyn FnMut(usize, Option<TrustRecord>) -> TrustRecord,
-    ) {
-        if items.is_empty() {
-            return;
-        }
-        // encode the whole batch locally, append once (on the guard's
-        // drop): exclusive access means no concurrent writer can
-        // interleave frames, so appending after the folds preserves
-        // per-key journal order — and the drop-guard keeps a panicking
-        // fold from losing the frames of records already in the front
-        let mut run = RunFrames::new(&self.journal, items.len());
-        self.front.update_batch(items, &mut |i, prior| {
-            let rec = f(i, prior);
-            let (peer, task) = items[i];
-            run.push(peer, task, rec);
-            rec
-        });
-        drop(run);
-        self.after_write_mut();
-    }
-
-    fn for_each_experience(&self, peer: P, f: &mut dyn FnMut(TaskId, TrustRecord)) {
-        self.front.for_each_experience(peer, f);
-    }
-
-    fn known_peers(&self) -> Vec<P> {
-        self.front.known_peers()
-    }
-
-    fn len(&self) -> usize {
-        self.front.len()
-    }
-
-    fn clear(&mut self) {
-        self.front.clear();
-        self.journal.get_mut().unwrap_or_else(|e| e.into_inner()).append(&Frame::ClearRecords);
-        self.after_write_mut();
-    }
-
-    fn note_usage_log(&mut self, peer: P, log: UsageLog) {
-        self.journal.get_mut().unwrap_or_else(|e| e.into_inner()).note_usage(peer, log);
-        self.after_write_mut();
-    }
-
-    fn recovered_usage_logs(&self) -> Vec<(P, UsageLog)> {
-        self.lock().usage.iter().map(|(&p, &l)| (p, l)).collect()
-    }
-
-    fn flush(&mut self) -> Result<(), TrustError> {
-        WriteBehind::flush(self)
-    }
-
-    fn commit_barrier(&mut self) -> Result<(), TrustError> {
-        self.journal.get_mut().unwrap_or_else(|e| e.into_inner()).commit_barrier()
-    }
-}
-
-impl<P: LogKey + Hash + Send + Sync + fmt::Debug> ConcurrentTrustBackend<P> for WriteBehind<P> {
-    fn get_shared(&self, peer: P, task: TaskId) -> Option<TrustRecord> {
-        self.front.get_shared(peer, task)
-    }
-
-    fn update_shared(
-        &self,
-        peer: P,
-        task: TaskId,
-        f: &mut dyn FnMut(Option<TrustRecord>) -> TrustRecord,
-    ) {
-        // journal locked *inside* the fold (under the front's lane lock):
-        // lane → journal everywhere, and per-key frame order = fold order
-        self.front.update_shared(peer, task, &mut |prior| {
-            let rec = f(prior);
-            self.lock().append_record(peer, task, rec);
-            rec
-        });
-    }
-
-    fn update_batch_shared(
-        &self,
-        items: &[(P, TaskId)],
-        f: &mut dyn FnMut(usize, Option<TrustRecord>) -> TrustRecord,
-    ) {
-        // route by lane here (one hash per element, like the front would)
-        // so each lane's slice journals as one buffered append
-        let mut runs: Vec<Vec<usize>> = vec![Vec::new(); self.front.write_lanes()];
-        for (i, &(peer, _)) in items.iter().enumerate() {
-            runs[self.front.lane_of(peer)].push(i);
-        }
-        for (lane, indices) in runs.iter().enumerate() {
-            if !indices.is_empty() {
-                self.journaled_lane_run(lane, indices, &|i| items[i], f);
-            }
-        }
-    }
-
-    fn write_lanes(&self) -> usize {
-        self.front.write_lanes()
-    }
-
-    fn lane_of(&self, peer: P) -> usize {
-        self.front.lane_of(peer)
-    }
-
-    fn update_lane_run_shared(
-        &self,
-        lane: usize,
-        indices: &[usize],
-        key_of: &dyn Fn(usize) -> (P, TaskId),
-        f: &mut dyn FnMut(usize, Option<TrustRecord>) -> TrustRecord,
-    ) {
-        self.journaled_lane_run(lane, indices, key_of, f);
-    }
-
-    fn commit_barrier_shared(&self) -> Result<(), TrustError> {
-        self.lock().commit_barrier()
     }
 }
 
@@ -919,228 +516,6 @@ mod tests {
             assert_eq!(b.len(), 1, "policy {policy:?}");
             fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn write_behind_journals_all_write_paths() {
-        let dir = tmpdir("wb");
-        {
-            let mut wb = WriteBehind::<u32>::open(&dir).unwrap();
-            wb.insert(1, TaskId(0), rec(0.5));
-            wb.update(1, TaskId(0), &mut |p| {
-                let mut r = p.unwrap();
-                r.interactions += 1;
-                r
-            });
-            wb.update_batch(&[(2, TaskId(0)), (3, TaskId(1))], &mut |_, _| rec(0.25));
-            wb.update_shared(4, TaskId(2), &mut |_| rec(0.75));
-            wb.update_batch_shared(&[(5, TaskId(0))], &mut |_, _| rec(1.0));
-            let indices = [0usize];
-            let items = [(6u32, TaskId(1))];
-            let lane = wb.lane_of(6);
-            wb.update_lane_run_shared(lane, &indices, &|i| items[i], &mut |_, _| rec(0.0));
-            wb.note_usage_log(1, UsageLog { responsive: 2, abusive: 0 });
-            wb.flush().unwrap();
-        }
-        let wb = WriteBehind::<u32>::open(&dir).unwrap();
-        assert_eq!(wb.len(), 6);
-        assert_eq!(wb.get(1, TaskId(0)).unwrap().interactions, 1);
-        assert_eq!(wb.get(4, TaskId(2)).unwrap(), rec(0.75));
-        assert_eq!(wb.get(6, TaskId(1)).unwrap(), rec(0.0));
-        assert_eq!(wb.recovered_usage_logs(), vec![(1, UsageLog { responsive: 2, abusive: 0 })]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn write_behind_concurrent_writers_recover_exactly() {
-        let dir = tmpdir("wb-threads");
-        {
-            let wb = WriteBehind::<u32>::open(&dir).unwrap();
-            std::thread::scope(|scope| {
-                for t in 0..4u32 {
-                    let b = &wb;
-                    scope.spawn(move || {
-                        for i in 0..250u32 {
-                            b.update_shared(t * 1000 + i, TaskId(0), &mut |_| rec(0.5));
-                        }
-                    });
-                }
-            });
-            assert_eq!(wb.len(), 1000);
-            wb.sync().unwrap();
-        }
-        let wb = WriteBehind::<u32>::open(&dir).unwrap();
-        assert_eq!(wb.len(), 1000);
-        assert_eq!(wb.known_peers().len(), 1000);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn write_behind_batched_shared_folds_recover_final_state() {
-        // Overlapping keys hammered by concurrent *batched* folds: the
-        // per-lane-run buffered journal appends must still produce a log
-        // whose per-key frame order matches fold order, so replay lands on
-        // exactly the front's final state (a regression here would show up
-        // as a reopened record older than the in-memory one).
-        let dir = tmpdir("wb-lane-batch");
-        let expected: Vec<(u32, TrustRecord)>;
-        {
-            let wb = WriteBehind::<u32>::open(&dir).unwrap();
-            std::thread::scope(|scope| {
-                for t in 0..4u64 {
-                    let b = &wb;
-                    scope.spawn(move || {
-                        let items: Vec<(u32, TaskId)> =
-                            (0..32u32).map(|p| (p, TaskId(0))).collect();
-                        for round in 0..50u64 {
-                            b.update_batch_shared(&items, &mut |i, prior| match prior {
-                                Some(mut r) => {
-                                    r.interactions += 1;
-                                    // thread- and round-dependent payload so
-                                    // a stale frame is detectable bit-wise
-                                    r.s_hat = ((t * 50 + round) as f64 + i as f64 / 32.0) / 256.0;
-                                    r
-                                }
-                                None => rec(0.5),
-                            });
-                        }
-                    });
-                }
-            });
-            expected = (0..32u32).map(|p| (p, wb.get(p, TaskId(0)).expect("folded"))).collect();
-            wb.flush().unwrap();
-        }
-        let reopened = WriteBehind::<u32>::open(&dir).unwrap();
-        assert_eq!(reopened.len(), 32);
-        for &(p, rec) in &expected {
-            assert_eq!(reopened.get(p, TaskId(0)), Some(rec), "peer {p}");
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn panicking_fold_mid_run_still_journals_earlier_folds() {
-        // A fold closure that panics mid-run (TrustError::WorkerPanicked
-        // territory) must not leave records that *did* fold — and are in
-        // the front — without journal frames, or reopen would silently
-        // revert them.
-        let dir = tmpdir("wb-panic");
-        {
-            let wb = WriteBehind::<u32>::open(&dir).unwrap();
-            // three peers sharing one lane, so they form a single run
-            let lane = wb.lane_of(0);
-            let peers: Vec<u32> = (0..1000u32).filter(|&p| wb.lane_of(p) == lane).take(3).collect();
-            assert_eq!(peers.len(), 3);
-            let items: Vec<(u32, TaskId)> = peers.iter().map(|&p| (p, TaskId(0))).collect();
-            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                wb.update_lane_run_shared(lane, &[0, 1, 2], &|i| items[i], &mut |i, _| {
-                    if i == 2 {
-                        panic!("injected fold bug");
-                    }
-                    rec(0.25)
-                });
-            }));
-            assert!(unwound.is_err());
-            // the front holds exactly the two completed folds…
-            assert_eq!(wb.len(), 2);
-            wb.flush().unwrap();
-        }
-        // …and so does the reopened journal: replay matches the front
-        let reopened = WriteBehind::<u32>::open(&dir).unwrap();
-        assert_eq!(reopened.len(), 2);
-        let lane = reopened.lane_of(0);
-        let peers: Vec<u32> =
-            (0..1000u32).filter(|&p| reopened.lane_of(p) == lane).take(3).collect();
-        assert_eq!(reopened.get(peers[0], TaskId(0)), Some(rec(0.25)));
-        assert_eq!(reopened.get(peers[1], TaskId(0)), Some(rec(0.25)));
-        assert_eq!(reopened.get(peers[2], TaskId(0)), None, "the panicking fold stored nothing");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn panicking_fold_mid_exclusive_batch_still_journals_earlier_folds() {
-        // same invariant as the shared-path test, for `&mut update_batch`:
-        // whatever the front holds after the unwind must replay on reopen
-        let dir = tmpdir("wb-panic-mut");
-        let items: Vec<(u32, TaskId)> = (0..4u32).map(|p| (p, TaskId(0))).collect();
-        let front_state: Vec<Option<TrustRecord>>;
-        {
-            let mut wb = WriteBehind::<u32>::open(&dir).unwrap();
-            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                wb.update_batch(&items, &mut |i, _| {
-                    if i == 3 {
-                        panic!("injected fold bug");
-                    }
-                    rec(0.5)
-                });
-            }));
-            assert!(unwound.is_err());
-            front_state = items.iter().map(|&(p, t)| wb.get(p, t)).collect();
-            assert!(front_state.iter().flatten().count() >= 1, "some records folded");
-            wb.flush().unwrap();
-        }
-        let reopened = WriteBehind::<u32>::open(&dir).unwrap();
-        for (&(p, t), expected) in items.iter().zip(&front_state) {
-            assert_eq!(reopened.get(p, t), *expected, "peer {p}");
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn write_behind_compaction_consistent() {
-        let dir = tmpdir("wb-compact");
-        {
-            let mut wb = WriteBehind::<u32>::open(&dir).unwrap();
-            for i in 0..100u32 {
-                wb.update(i, TaskId(0), &mut |_| rec(0.5));
-            }
-            wb.compact().unwrap();
-            wb.update(200, TaskId(0), &mut |_| rec(0.25));
-        }
-        let wb = WriteBehind::<u32>::open(&dir).unwrap();
-        assert_eq!(wb.len(), 101);
-        assert_eq!(wb.get(200, TaskId(0)).unwrap(), rec(0.25));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn write_behind_churned_compaction_consistent() {
-        let dir = tmpdir("wb-churn");
-        {
-            let mut wb = WriteBehind::<u32>::open(&dir).unwrap();
-            for i in 0..100u32 {
-                wb.update(i, TaskId(0), &mut |_| rec(0.5));
-            }
-            wb.compact().unwrap();
-            for i in 0..4u32 {
-                wb.update(i, TaskId(0), &mut |_| rec(0.875));
-            }
-            wb.compact_churned().unwrap();
-            assert_eq!(wb.compacted_segments(), 2);
-        }
-        let wb = WriteBehind::<u32>::open(&dir).unwrap();
-        assert_eq!(wb.len(), 100);
-        assert_eq!(wb.get(0, TaskId(0)).unwrap(), rec(0.875));
-        assert_eq!(wb.get(50, TaskId(0)).unwrap(), rec(0.5));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn shared_barrier_makes_concurrent_writes_durable() {
-        let dir = tmpdir("wb-barrier");
-        let opts = LogOptions { fsync: FsyncPolicy::Always, ..LogOptions::default() };
-        {
-            let wb = WriteBehind::<u32>::open_with(&dir, opts, ShardedBackend::default()).unwrap();
-            for i in 0..50u32 {
-                wb.update_shared(i, TaskId(0), &mut |_| rec(0.5));
-            }
-            wb.commit_barrier_shared().unwrap();
-            // the barrier synced: no flush, no clean drop needed
-            std::mem::forget(wb);
-        }
-        let wb = WriteBehind::<u32>::open(&dir).unwrap();
-        assert_eq!(wb.len(), 50, "everything before the barrier is durable");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The record/usage/clear frame codec shared by segments, snapshots and
-//! the legacy v1 files, plus the replay accumulator.
+//! The record/usage/clear frame codec shared by raw and compacted
+//! segments, plus the replay accumulator.
 
 use super::{LogKey, MAX_FRAME_LEN};
 use crate::framing::{self, RawFrame};

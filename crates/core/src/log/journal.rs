@@ -1,18 +1,16 @@
-//! The journal: the shared durable sink under [`LogBackend`] and
-//! [`WriteBehind`] — segment chain bookkeeping, rotation, group-commit
-//! barriers, compaction (full and churn-proportional), and recovery
-//! including the migration of version-1 directories.
+//! The journal: the durable sink under [`LogBackend`] — segment chain
+//! bookkeeping, rotation, group-commit barriers, compaction (full and
+//! churn-proportional), and recovery, including the refusal of version-1
+//! directories.
 //!
 //! [`LogBackend`]: super::LogBackend
-//! [`WriteBehind`]: super::WriteBehind
 
-use super::frames::{encode_frame, read_frame, Frame, FrameRead, RecordMap, Replayed};
+use super::frames::{encode_frame, Frame, RecordMap, Replayed};
 use super::manifest::{read_manifest, write_manifest, Manifest, SegmentEntry, SegmentKind};
 use super::segment::{check_header, create_segment, replay_strict, replay_tail, sync_dir};
 use super::{
-    segment_file_name, FsyncPolicy, LogKey, LogOptions, BUFFER_SPILL, HEADER_LEN, KIND_LEGACY_LOG,
-    KIND_LEGACY_SNAP, KIND_SEGMENT, LEGACY_FORMAT_VERSION, LOG_FILE, MANIFEST_FILE, MANIFEST_TMP,
-    SNAP_FILE, SNAP_TMP,
+    segment_file_name, FsyncPolicy, LogKey, LogOptions, BUFFER_SPILL, FORMAT_VERSION, HEADER_LEN,
+    KIND_SEGMENT, LOG_FILE, MANIFEST_FILE, MANIFEST_TMP, SNAP_FILE,
 };
 use crate::error::TrustError;
 use crate::mutuality::UsageLog;
@@ -88,9 +86,9 @@ impl<P: LogKey> Journal<P> {
     }
 
     /// Opens (or creates) the journal in `dir`: replays the manifest's
-    /// segment chain (or a legacy v1 directory, which is migrated to a
-    /// chain), truncates a torn tail on the active segment, and sweeps
-    /// orphan files left by crashed chain mutations.
+    /// segment chain, truncates a torn tail on the active segment, and
+    /// sweeps orphan files left by crashed chain mutations. A version-1
+    /// directory is refused (see `refuse_legacy`), never treated as fresh.
     pub(super) fn open(
         dir: &Path,
         options: LogOptions,
@@ -133,13 +131,8 @@ impl<P: LogKey> Journal<P> {
                 }
             }
             (manifest, frames, valid_len)
-        } else if dir.join(LOG_FILE).exists() || dir.join(SNAP_FILE).exists() {
-            // a version-1 directory: replay under the v1 rules, then
-            // migrate the recovered state into a fresh segment chain
-            state = legacy_load::<P>(dir)?;
-            let manifest = migrate_legacy(dir, &state)?;
-            (manifest, 0, HEADER_LEN)
         } else {
+            refuse_legacy(dir)?;
             let manifest = Manifest {
                 entries: vec![SegmentEntry { seq: 1, kind: SegmentKind::Raw }],
                 next_seq: 2,
@@ -206,10 +199,10 @@ impl<P: LogKey> Journal<P> {
         self.failed = Some(msg);
     }
 
-    /// Appends pre-encoded frame bytes (used by the concurrent paths that
-    /// encode under the front's lane lock). Frames buffer even after a
-    /// spill failure — the buffer drains incrementally once the disk
-    /// recovers, so a transient error loses and duplicates nothing.
+    /// Appends pre-encoded frame bytes (the batch path encodes a whole
+    /// slate first). Frames buffer even after a spill failure — the buffer
+    /// drains incrementally once the disk recovers, so a transient error
+    /// loses and duplicates nothing.
     pub(super) fn append_encoded(&mut self, bytes: &[u8], frames: u64) {
         self.frames_since_compact += frames;
         let spill = match &mut self.sink {
@@ -517,10 +510,9 @@ fn write_out(
     (written, Ok(()))
 }
 
-/// Sweeps files a crashed chain mutation (or a completed migration whose
-/// deletes were lost) left behind: segment files the manifest does not
-/// list, temp files, and the legacy pair. Best-effort — an orphan is
-/// garbage by construction, never state.
+/// Sweeps files a crashed chain mutation left behind: segment files the
+/// manifest does not list and the manifest temp file. Best-effort — an
+/// orphan is garbage by construction, never state.
 fn remove_orphans(dir: &Path, manifest: &Manifest) {
     if let Ok(entries) = fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -528,110 +520,30 @@ fn remove_orphans(dir: &Path, manifest: &Manifest) {
             let Some(name) = name.to_str() else { continue };
             let listed = manifest.entries.iter().any(|e| segment_file_name(e.seq) == name);
             let orphan_segment = name.starts_with("seg-") && name.ends_with(".log") && !listed;
-            let stale = matches!(name, MANIFEST_TMP | SNAP_TMP | LOG_FILE | SNAP_FILE);
-            if orphan_segment || stale {
+            if orphan_segment || name == MANIFEST_TMP {
                 let _ = fs::remove_file(entry.path());
             }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy (version 1) recovery and migration
-// ---------------------------------------------------------------------------
-
-/// Validates a v1 magic/kind/version header and returns its compaction
-/// generation (header bytes 6–7, the scheme the manifest replaced).
-fn legacy_check_header(data: &[u8], kind: u8, what: &'static str) -> Result<u16, TrustError> {
-    if data.len() < HEADER_LEN || &data[..4] != b"SIOT" || data[4] != kind {
-        return Err(TrustError::Corrupt { what, offset: 0 });
-    }
-    if data[5] != LEGACY_FORMAT_VERSION {
-        return Err(TrustError::UnsupportedFormat {
-            found: data[5],
-            expected: LEGACY_FORMAT_VERSION,
-        });
-    }
-    Ok(u16::from_le_bytes([data[6], data[7]]))
-}
-
-/// Replays a version-1 directory under the v1 rules: strict snapshot, a
-/// tail-tolerant log, and the generation check that discards a log
-/// predating the snapshot (a crash between the v1 snapshot rename and log
-/// truncation).
-fn legacy_load<P: LogKey>(dir: &Path) -> Result<Replayed<P>, TrustError> {
-    let mut state = Replayed::default();
-    let snap_path = dir.join(SNAP_FILE);
-    let snap_generation = if snap_path.exists() {
-        let data = fs::read(&snap_path)?;
-        let generation = legacy_check_header(&data, KIND_LEGACY_SNAP, "snapshot header")?;
-        let mut off = HEADER_LEN;
-        loop {
-            match read_frame(&data, off) {
-                FrameRead::End => break,
-                FrameRead::Frame(frame, next) => {
-                    state.apply(frame);
-                    off = next;
-                }
-                FrameRead::Invalid => {
-                    return Err(TrustError::Corrupt { what: "snapshot frame", offset: off as u64 })
-                }
+/// Refuses a version-1 directory — `trust.log` / `trust.snap` and no
+/// manifest. This build neither reads nor migrates that format, and
+/// starting a fresh chain beside the old files would silently shadow the
+/// state they hold, so open fails typed and leaves them untouched. A file
+/// under a v1 name that lacks the header magic is reported as corrupt.
+fn refuse_legacy(dir: &Path) -> Result<(), TrustError> {
+    for (name, what) in [(LOG_FILE, "log header"), (SNAP_FILE, "snapshot header")] {
+        let path = dir.join(name);
+        if path.exists() {
+            let data = fs::read(&path)?;
+            if data.len() < HEADER_LEN || &data[..4] != b"SIOT" {
+                return Err(TrustError::Corrupt { what, offset: 0 });
             }
-        }
-        Some(generation)
-    } else {
-        None
-    };
-    let log_path = dir.join(LOG_FILE);
-    if log_path.exists() {
-        let data = fs::read(&log_path)?;
-        // a v1 crash could tear even the 8-byte header of a just-created
-        // log; an empty/torn-header file carries no state, anything with a
-        // full header must validate
-        if data.len() >= HEADER_LEN {
-            let log_generation = legacy_check_header(&data, KIND_LEGACY_LOG, "log header")?;
-            match snap_generation {
-                // generation mismatch: the log's absolute frames are
-                // *older* than the snapshot — replaying them would
-                // regress state. Discard the log.
-                Some(snap_gen) if snap_gen != log_generation => {}
-                _ => {
-                    replay_tail(&data, &mut state)?;
-                }
-            }
+            return Err(TrustError::UnsupportedFormat { found: data[5], expected: FORMAT_VERSION });
         }
     }
-    Ok(state)
-}
-
-/// Writes the legacy state as a fresh chain — one compacted segment (when
-/// non-empty) plus an empty active segment — commits the manifest, and
-/// removes the v1 files. Fully durable regardless of policy, like every
-/// chain mutation.
-fn migrate_legacy<P: LogKey>(dir: &Path, state: &Replayed<P>) -> Result<Manifest, TrustError> {
-    let mut entries = Vec::new();
-    let mut next_seq = 1u64;
-    if !state.records.is_empty() || !state.usage.is_empty() {
-        let mut body = Vec::new();
-        for (&(peer, task), &rec) in &state.records {
-            encode_frame(&mut body, &Frame::PutRecord { peer, task, rec });
-        }
-        for (&peer, &log) in &state.usage {
-            encode_frame(&mut body, &Frame::PutUsage { peer, log });
-        }
-        create_segment(&dir.join(segment_file_name(next_seq)), KIND_SEGMENT, &body)?;
-        entries.push(SegmentEntry { seq: next_seq, kind: SegmentKind::Compacted });
-        next_seq += 1;
-    }
-    create_segment(&dir.join(segment_file_name(next_seq)), KIND_SEGMENT, &[])?;
-    entries.push(SegmentEntry { seq: next_seq, kind: SegmentKind::Raw });
-    sync_dir(dir)?;
-    let manifest = Manifest { entries, next_seq: next_seq + 1 };
-    write_manifest(dir, &manifest)?;
-    for name in [LOG_FILE, SNAP_FILE, SNAP_TMP] {
-        let _ = fs::remove_file(dir.join(name));
-    }
-    Ok(manifest)
+    Ok(())
 }
 
 impl<P: LogKey> Drop for Journal<P> {

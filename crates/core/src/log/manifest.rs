@@ -2,8 +2,8 @@
 //!
 //! The manifest is the durable truth about which segments constitute the
 //! state and in what order they replay. Every chain mutation — rotation,
-//! compaction, legacy migration — writes a new manifest to a temp file,
-//! fsyncs it, renames it into place and fsyncs the directory; a crash on
+//! compaction — writes a new manifest to a temp file, fsyncs it, renames
+//! it into place and fsyncs the directory; a crash on
 //! either side of the rename leaves a complete old or complete new chain,
 //! never a mix. Segment sequence numbers are `u64` and never reused, so a
 //! file from a superseded chain can never be mistaken for current state.

@@ -15,11 +15,11 @@
 //!   bit-identical to it by construction) is mirrored into the segmented
 //!   frame log. Reopening replays the segment chain and recovers the exact
 //!   pre-crash state.
-//! * [`WriteBehind`] — a [`ShardedBackend`](crate::backend::ShardedBackend)
-//!   fronting the same journal as a
-//!   cache: reads and folds hit the sharded map (including the concurrent
-//!   shared-handle paths the [`ObserverPool`](crate::pool::ObserverPool)
-//!   drives), while every folded record is journaled behind the front.
+//!
+//! Several writers reach one durable engine through the actor tier
+//! ([`TrustService`](crate::service::TrustService) /
+//! [`ShardedTrustService`](crate::service::ShardedTrustService)), which
+//! owns the engine exclusively — the backend itself is single-writer.
 //!
 //! ## On-disk format (version 2)
 //!
@@ -37,8 +37,9 @@
 //! [`TrustError::UnsupportedFormat`](crate::error::TrustError::UnsupportedFormat)
 //! — the format is pinned by a golden-file
 //! test, so readers never silently misparse old state. Version-1
-//! directories (`trust.log` + `trust.snap`) are still read: they are
-//! replayed with the v1 rules and migrated to a segment chain on open.
+//! directories (`trust.log` + `trust.snap`, no manifest) are refused the
+//! same way — `found: 1` — and left byte-for-byte untouched; they are never
+//! mistaken for a fresh directory.
 //!
 //! The manifest lists the chain in replay order: zero or more **compacted**
 //! segments (snapshot state, strictly valid end to end) followed by one or
@@ -124,22 +125,20 @@ mod journal;
 mod manifest;
 mod segment;
 
-pub use backends::{LogBackend, WriteBehind};
+pub use backends::LogBackend;
 
-/// The on-disk format version this build writes (and reads natively).
+/// The on-disk format version this build writes and reads.
 pub const FORMAT_VERSION: u8 = 2;
-/// The version-1 single-file format, still read and migrated on open.
-pub const LEGACY_FORMAT_VERSION: u8 = 1;
 
 /// Manifest file name inside the backend directory.
 pub const MANIFEST_FILE: &str = "trust.manifest";
 pub(crate) const MANIFEST_TMP: &str = "trust.manifest.tmp";
 
-/// Version-1 log file name (read for migration; never written).
+/// Version-1 log file name (never written; its presence without a
+/// manifest makes `open` refuse the directory).
 pub const LOG_FILE: &str = "trust.log";
-/// Version-1 snapshot file name (read for migration; never written).
+/// Version-1 snapshot file name (never written; refused like [`LOG_FILE`]).
 pub const SNAP_FILE: &str = "trust.snap";
-pub(crate) const SNAP_TMP: &str = "trust.snap.tmp";
 
 /// The file name of segment `seq` inside the backend directory.
 pub fn segment_file_name(seq: u64) -> String {
@@ -149,8 +148,6 @@ pub fn segment_file_name(seq: u64) -> String {
 pub(crate) const HEADER_LEN: usize = 8;
 pub(crate) const KIND_SEGMENT: u8 = b'G';
 pub(crate) const KIND_MANIFEST: u8 = b'M';
-pub(crate) const KIND_LEGACY_LOG: u8 = b'L';
-pub(crate) const KIND_LEGACY_SNAP: u8 = b'S';
 
 /// Frames are tens of bytes; anything claiming more than this is garbage,
 /// rejected before the length can drive a huge allocation.

@@ -1,4 +1,4 @@
-//! Compatibility alias for the durable backends' old module path.
+//! Compatibility alias for the durable backend's old module path.
 //!
 //! The single-file journal grew into the segmented store in [`crate::log`]
 //! — manifest-tracked chains, incremental compaction, group-commit fsync —

@@ -18,9 +18,9 @@
 //!
 //! * A [`TrustService::spawn`] takes **ownership** of an engine over any
 //!   [`TrustBackend`] — including the durable
-//!   [`LogBackend`](crate::log_backend::LogBackend) /
-//!   [`WriteBehind`](crate::log_backend::WriteBehind) — and moves it onto a
-//!   dedicated actor thread.
+//!   [`LogBackend`](crate::log_backend::LogBackend) — and moves it onto a
+//!   dedicated actor thread. The actor is the **only** way several
+//!   writers reach one engine: no backend takes writes through `&self`.
 //! * [`TrustServiceHandle`] is `Clone + Send`; its methods are `async fn`s
 //!   whose futures are plain [`std::future::Future`]s — no runtime
 //!   required. Drive them with [`block_on`] (re-exported here from the
@@ -36,7 +36,7 @@
 //! * The actor **batches the mailbox drain**: adjacent commits in one
 //!   drain fold through a single
 //!   [`commit_batch_receipts`](TrustEngine::commit_batch_receipts) storage
-//!   pass (one shard-routed backend pass, not one lock per wakeup), and
+//!   pass (one shard-routed backend pass, not one per wakeup), and
 //!   every caller still gets its own [`DelegationReceipt`]. Queries are
 //!   answered in arrival order, so a caller that awaited its commit ack
 //!   always reads its own write.

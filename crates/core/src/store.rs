@@ -5,7 +5,7 @@
 //! characteristic-level inference (§4.2), and the usage logs that back
 //! reverse evaluation (§4.1). Record storage is delegated to a
 //! [`TrustBackend`] — the deterministic [`BTreeBackend`] by default, or the
-//! lock-sharded [`ShardedBackend`](crate::backend::ShardedBackend) for
+//! hash-sharded [`ShardedBackend`](crate::backend::ShardedBackend) for
 //! high-peer-count workloads — while task registry and usage logs stay in
 //! the engine.
 //!
@@ -27,7 +27,7 @@
 //! ([`TrustEngine::seed_record`], [`TrustEngine::seed_usage_log`]), which
 //! install state without pretending an interaction happened.
 
-use crate::backend::{BTreeBackend, ConcurrentTrustBackend, TrustBackend};
+use crate::backend::{BTreeBackend, TrustBackend};
 use crate::context::Context;
 use crate::delegation::{CompletedDelegation, DelegationReceipt, DelegationRequest, ResourceUse};
 use crate::environment::{remove_influence, update_with_environment, EnvIndicator};
@@ -91,10 +91,10 @@ impl<P: Copy + Ord, B: TrustBackend<P>> TrustEngine<P, B> {
     }
 
     /// Mutable access to the storage backend — raw layer, for storage
-    /// plumbing a generic engine cannot express (e.g. compacting a
-    /// [`WriteBehind`](crate::log_backend::WriteBehind) ledger). Mutating
-    /// records through it bypasses validation and usage-log bookkeeping;
-    /// live interactions go through [sessions](Self::delegate).
+    /// plumbing a generic engine cannot express (e.g. forcing an fsync
+    /// with [`LogBackend::sync`]). Mutating records through it bypasses
+    /// validation and usage-log bookkeeping; live interactions go through
+    /// [sessions](Self::delegate).
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
     }
@@ -169,7 +169,7 @@ impl<P: Copy + Ord, B: TrustBackend<P>> TrustEngine<P, B> {
         let fulfilled = completed.fulfilled();
         let envs = [completed.context.environment];
         // capture the folded record from inside the update closure so the
-        // receipt costs one backend pass (one shard lock), not two
+        // receipt costs one backend pass, not two
         let mut folded: Option<TrustRecord> = None;
         self.backend.update(completed.trustee, completed.task, &mut |prior| {
             let rec = folded_env(prior, &completed.observation, &envs, betas);
@@ -298,8 +298,8 @@ impl<P: Copy + Ord, B: TrustBackend<P>> TrustEngine<P, B> {
 
     /// Batched [`Self::observe`]: one backend pass for a whole slate of
     /// outcomes, letting the storage layer amortize lookup costs (shard
-    /// routing, locking, cache locality). Equivalent to observing each
-    /// element in order.
+    /// routing, cache locality, journal appends). Equivalent to observing
+    /// each element in order.
     ///
     /// Every observation is validated before anything is folded: a NaN or
     /// out-of-range component fails the whole batch atomically with
@@ -470,84 +470,6 @@ impl<P: Copy + Ord, B: TrustBackend<P>> TrustEngine<P, B> {
     /// failure without consuming it.
     pub fn commit_barrier(&mut self) -> Result<(), TrustError> {
         self.backend.commit_barrier()
-    }
-}
-
-impl<P: Copy + Ord, B: ConcurrentTrustBackend<P>> TrustEngine<P, B> {
-    /// Shared-handle [`Self::observe`] for concurrent backends: multiple
-    /// threads may fold outcomes through `&TrustEngine` simultaneously;
-    /// writes to different peers proceed in parallel.
-    pub fn observe_shared(
-        &self,
-        peer: P,
-        task: TaskId,
-        obs: &Observation,
-        betas: &ForgettingFactors,
-    ) {
-        self.backend.update_shared(peer, task, &mut |prior| folded(prior, obs, betas));
-        let _ = self.backend.commit_barrier_shared();
-    }
-
-    /// Shared-handle [`Self::observe_batch`]: locks each shard once per
-    /// batch slice instead of once per record. Validates the whole batch
-    /// before folding, like the exclusive variant.
-    pub fn observe_batch_shared(
-        &self,
-        batch: &[(P, TaskId, Observation)],
-        betas: &ForgettingFactors,
-    ) -> Result<(), TrustError> {
-        for (_, _, obs) in batch {
-            obs.validate()?;
-        }
-        let keys: Vec<(P, TaskId)> = batch.iter().map(|&(p, t, _)| (p, t)).collect();
-        self.backend.update_batch_shared(&keys, &mut |i, prior| folded(prior, &batch[i].2, betas));
-        // one covering fsync for the whole shared batch
-        self.backend.commit_barrier_shared()
-    }
-
-    /// Shared-handle record snapshot.
-    pub fn record_shared(&self, peer: P, task: TaskId) -> Option<TrustRecord> {
-        self.backend.get_shared(peer, task)
-    }
-
-    /// Number of independently writable backend lanes (see
-    /// [`ConcurrentTrustBackend::write_lanes`]).
-    pub fn write_lanes(&self) -> usize {
-        self.backend.write_lanes()
-    }
-
-    /// Shared-handle [`Self::commit_barrier`]: the fsync covers every
-    /// append that completed before the call, across all threads. The
-    /// [`ObserverPool`](crate::pool::ObserverPool) runs one per dispatched
-    /// batch.
-    pub fn commit_barrier_shared(&self) -> Result<(), TrustError> {
-        self.backend.commit_barrier_shared()
-    }
-
-    /// The backend lane `peer`'s records live in (see
-    /// [`ConcurrentTrustBackend::lane_of`]).
-    pub fn lane_of(&self, peer: P) -> usize {
-        self.backend.lane_of(peer)
-    }
-
-    /// Folds one lane's pre-routed run of `batch` without re-validating —
-    /// the [`ObserverPool`](crate::pool::ObserverPool) dispatch seam.
-    /// Callers must have validated every referenced observation and routed
-    /// every index in `indices` to `lane` via [`Self::lane_of`]; elements
-    /// fold in `indices` order under one lane-lock acquisition.
-    pub(crate) fn observe_lane_run_prevalidated(
-        &self,
-        lane: usize,
-        indices: &[usize],
-        batch: &[(P, TaskId, Observation)],
-        betas: &ForgettingFactors,
-    ) {
-        self.backend.update_lane_run_shared(
-            lane,
-            indices,
-            &|i| (batch[i].0, batch[i].1),
-            &mut |i, prior| folded(prior, &batch[i].2, betas),
-        );
     }
 }
 
@@ -872,28 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_observe_from_threads() {
-        let engine: TrustEngine<u32, ShardedBackend<u32>> = TrustEngine::new();
-        let betas = ForgettingFactors::figures();
-        std::thread::scope(|scope| {
-            for t in 0..4u32 {
-                let e = &engine;
-                let betas = &betas;
-                scope.spawn(move || {
-                    let batch: Vec<(u32, TaskId, Observation)> = (0..100u32)
-                        .map(|i| (t * 1000 + i, TaskId(0), Observation::success(0.8, 0.1)))
-                        .collect();
-                    e.observe_batch_shared(&batch, betas).unwrap();
-                    e.observe_shared(t * 1000, TaskId(1), &Observation::failure(0.5, 0.2), betas);
-                });
-            }
-        });
-        assert_eq!(engine.record_count(), 404);
-        assert_eq!(engine.known_peers().len(), 400);
-        assert_eq!(engine.record_shared(2000, TaskId(0)).unwrap().interactions, 1);
-    }
-
-    #[test]
     fn insert_record_seeds_state() {
         let mut store: TrustStore<u32> = TrustStore::new();
         store.insert_record(3, TaskId(2), TrustRecord::with_priors(0.9, 0.8, 0.1, 0.2));
@@ -938,9 +838,5 @@ mod tests {
         let err = store.observe_batch(&batch, &betas).unwrap_err();
         assert!(matches!(err, TrustError::OutOfUnitRange { what: "success_rate", .. }));
         assert_eq!(store.record_count(), 0, "nothing folded, even the valid element");
-
-        let engine: TrustEngine<u32, ShardedBackend<u32>> = TrustEngine::new();
-        assert!(engine.observe_batch_shared(&batch, &betas).is_err());
-        assert_eq!(engine.record_count(), 0);
     }
 }

@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
 use siot_core::environment::EnvIndicator;
-use siot_core::log_backend::{LogBackend, WriteBehind};
 use siot_core::prelude::*;
 use siot_core::service::block_on;
 
@@ -211,17 +210,16 @@ proptest! {
         shards_bit_identical(&single, &sequential)?;
     }
 
-    /// The same equivalence over durable `WriteBehind` shards — and each
+    /// The same equivalence over durable `LogBackend` shards — and each
     /// node's reopened shard directories replay to the exact state its
     /// actors held when the fleet's workers finished.
     #[test]
     fn fleet_commits_durable_and_reopen(streams in streams()) {
-        let root = tmpdir("fleet-service-wb");
+        let root = tmpdir("fleet-service-durable");
         let node_dir = |node: usize| root.join(format!("node{node}"));
         let per_node = run_fleet(
             |node, shard| {
-                let dir = TrustEngine::<u32, LogBackend<u32>>::shard_dir(node_dir(node), shard);
-                TrustEngine::with_backend(WriteBehind::open(dir).expect("shard dir opens"))
+                TrustEngine::open_shard(node_dir(node), shard).expect("shard dir opens")
             },
             &streams,
         );
@@ -230,11 +228,10 @@ proptest! {
         shards_bit_identical(&merged, &sequential)?;
 
         drop(merged);
-        let reopened: Vec<TrustEngine<u32, WriteBehind<u32>>> = (0..2)
+        let reopened: Vec<DurableTrustStore<u32>> = (0..2)
             .flat_map(|node| (0..2).map(move |shard| (node, shard)))
             .map(|(node, shard)| {
-                let dir = TrustEngine::<u32, LogBackend<u32>>::shard_dir(node_dir(node), shard);
-                TrustEngine::with_backend(WriteBehind::open(dir).expect("shard dir reopens"))
+                TrustEngine::open_shard(node_dir(node), shard).expect("shard dir reopens")
             })
             .collect();
         shards_bit_identical(&reopened, &sequential)?;

@@ -1,13 +1,13 @@
 //! Durability test suite for the segmented [`LogBackend`] chain: crash
 //! recovery at every truncation point of the active segment *and* the
 //! manifest, corruption detection across sealed segments, group-commit
-//! durability under [`FsyncPolicy::Always`], legacy (version-1) migration,
-//! the pinned golden on-disk format, and delegation-lifecycle durability.
+//! durability under [`FsyncPolicy::Always`], the refusal of legacy
+//! (version-1) directories, the pinned golden on-disk format, and
+//! delegation-lifecycle durability.
 
 use siot_core::error::TrustError;
 use siot_core::log_backend::{
-    segment_file_name, FsyncPolicy, LogOptions, FORMAT_VERSION, LEGACY_FORMAT_VERSION, LOG_FILE,
-    MANIFEST_FILE, SNAP_FILE,
+    segment_file_name, FsyncPolicy, LogOptions, FORMAT_VERSION, LOG_FILE, MANIFEST_FILE, SNAP_FILE,
 };
 use siot_core::prelude::*;
 use std::fs;
@@ -365,29 +365,35 @@ fn version_mismatch_is_a_typed_error() {
         TrustError::UnsupportedFormat { found: FORMAT_VERSION + 1, expected: FORMAT_VERSION }
     );
     fs::remove_dir_all(&dir).expect("scratch removable");
+}
 
-    // legacy (version-1) files declaring any other version are refused
-    // against the *legacy* expectation, not the current one
-    let dir = tmpdir("legacy-version");
-    fs::create_dir_all(&dir).expect("dir creatable");
-    fs::write(dir.join(LOG_FILE), [b'S', b'I', b'O', b'T', b'L', LEGACY_FORMAT_VERSION + 1, 0, 0])
-        .expect("writable");
-    let err = DurableTrustStore::<u32>::open(&dir).expect_err("not a v1 log");
-    assert_eq!(
-        err,
-        TrustError::UnsupportedFormat {
-            found: LEGACY_FORMAT_VERSION + 1,
-            expected: LEGACY_FORMAT_VERSION
+/// A version-1 directory (`trust.log` / `trust.snap`, no manifest) is
+/// refused with the typed version error — never migrated, never mistaken
+/// for a fresh directory: no manifest or segment appears beside the old
+/// files, and their bytes are untouched.
+#[test]
+fn legacy_v1_directory_is_refused_untouched() {
+    let log = [b'S', b'I', b'O', b'T', b'L', 1, 0, 0, 0xDE, 0xAD, 0xBE, 0xEF];
+    let snap = [b'S', b'I', b'O', b'T', b'S', 1, 0, 0];
+    for files in [
+        &[(LOG_FILE, &log[..])][..],
+        &[(SNAP_FILE, &snap[..])],
+        &[(LOG_FILE, &log[..]), (SNAP_FILE, &snap[..])],
+    ] {
+        let dir = tmpdir("legacy-refused");
+        fs::create_dir_all(&dir).expect("dir creatable");
+        for (name, bytes) in files {
+            fs::write(dir.join(name), bytes).expect("writable");
         }
-    );
-    fs::remove_dir_all(&dir).expect("scratch removable");
-
-    let dir = tmpdir("legacy-snapversion");
-    fs::create_dir_all(&dir).expect("dir creatable");
-    fs::write(dir.join(SNAP_FILE), [b'S', b'I', b'O', b'T', b'S', 9, 0, 0]).expect("writable");
-    let err = DurableTrustStore::<u32>::open(&dir).expect_err("not a v1 snapshot");
-    assert_eq!(err, TrustError::UnsupportedFormat { found: 9, expected: LEGACY_FORMAT_VERSION });
-    fs::remove_dir_all(&dir).expect("scratch removable");
+        let err = DurableTrustStore::<u32>::open(&dir).expect_err("v1 is not read");
+        assert_eq!(err, TrustError::UnsupportedFormat { found: 1, expected: FORMAT_VERSION });
+        assert!(!dir.join(MANIFEST_FILE).exists(), "not treated as a fresh directory");
+        assert!(segment_files(&dir).is_empty(), "no chain started beside the v1 files");
+        for (name, bytes) in files {
+            assert_eq!(&fs::read(dir.join(name)).expect("still there"), bytes, "{name} untouched");
+        }
+        fs::remove_dir_all(&dir).expect("scratch removable");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -396,10 +402,6 @@ fn version_mismatch_is_a_typed_error() {
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden")
-}
-
-fn legacy_fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-v1")
 }
 
 /// Builds the golden state. Dyadic values throughout, so the pinned
@@ -492,98 +494,6 @@ fn golden_state_round_trips_today() {
     write_golden_state(&dir);
     let engine: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("reopens");
     assert_golden_state(&engine);
-    drop(engine);
-    fs::remove_dir_all(&dir).expect("scratch removable");
-}
-
-// ---------------------------------------------------------------------------
-// Legacy (version 1) directories: replay and migration
-// ---------------------------------------------------------------------------
-
-/// Copies the committed v1 fixture (`trust.log` + `trust.snap`) into a
-/// scratch dir.
-fn legacy_scratch(tag: &str) -> PathBuf {
-    let fixtures = legacy_fixture_dir();
-    let dir = tmpdir(tag);
-    fs::create_dir_all(&dir).expect("dir creatable");
-    for name in [LOG_FILE, SNAP_FILE] {
-        fs::copy(fixtures.join(name), dir.join(name))
-            .unwrap_or_else(|e| panic!("committed v1 fixture {name} must exist: {e}"));
-    }
-    dir
-}
-
-/// Opening a version-1 directory replays it under the v1 rules *and*
-/// migrates it to a segment chain: the legacy pair is gone, the manifest
-/// is in place, and the state survives further reopens through the new
-/// format.
-#[test]
-fn legacy_v1_fixture_migrates_to_segment_chain() {
-    let dir = legacy_scratch("legacy-migrate");
-    let engine: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("v1 dir opens");
-    assert_golden_state(&engine);
-    drop(engine);
-    assert!(dir.join(MANIFEST_FILE).exists(), "migration committed a manifest");
-    assert!(!dir.join(LOG_FILE).exists(), "legacy log removed after migration");
-    assert!(!dir.join(SNAP_FILE).exists(), "legacy snapshot removed after migration");
-    let engine: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("chain reopens");
-    assert_golden_state(&engine);
-    drop(engine);
-    fs::remove_dir_all(&dir).expect("scratch removable");
-}
-
-/// A v1 log that predates the v1 snapshot (crash between the snapshot
-/// rename and the log truncation; the generations disagree) is discarded
-/// on open: its stale absolute frames must never replay over — and
-/// regress — the newer snapshot.
-#[test]
-fn legacy_stale_pre_snapshot_log_is_discarded() {
-    let dir = legacy_scratch("legacy-stale");
-    // forge the crash window: rewrite the log's generation stamp (header
-    // bytes 6–7) so it no longer matches the snapshot's
-    let log = dir.join(LOG_FILE);
-    let mut bytes = fs::read(&log).expect("log readable");
-    bytes[6] ^= 0xFF;
-    fs::write(&log, &bytes).expect("log writable");
-    let engine: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("recovers");
-    // snapshot-only state: record 2 has seen exactly one fold, and the
-    // post-snapshot usage log never existed
-    assert_eq!(engine.record_count(), 2);
-    let r2 = engine.record(2, TaskId(1)).expect("snapshot record");
-    assert_eq!((r2.s_hat, r2.g_hat, r2.d_hat, r2.c_hat), (0.75, 0.5, 0.25, 0.0));
-    assert_eq!(r2.interactions, 1, "the stale log's second fold must not replay");
-    assert_eq!(engine.usage_log(3), UsageLog { responsive: 6, abusive: 2 });
-    assert_eq!(engine.usage_log(4), UsageLog::default(), "post-snapshot frame discarded");
-    drop(engine);
-    fs::remove_dir_all(&dir).expect("scratch removable");
-}
-
-/// v1 snapshots were written atomically, so *any* damage inside one is
-/// real corruption — no tail tolerance there.
-#[test]
-fn legacy_corrupt_snapshot_reports_corrupt() {
-    let dir = legacy_scratch("legacy-snapcorrupt");
-    let snap = dir.join(SNAP_FILE);
-    let mut bytes = fs::read(&snap).expect("snapshot readable");
-    bytes[HEADER + 12] ^= 0xFF;
-    fs::write(&snap, &bytes).expect("snapshot writable");
-    let err = DurableTrustStore::<u32>::open(&dir).expect_err("snapshot damage is fatal");
-    assert!(matches!(err, TrustError::Corrupt { what: "snapshot frame", .. }), "got {err:?}");
-    fs::remove_dir_all(&dir).expect("scratch removable");
-}
-
-/// A v1 crash could tear even the 8-byte header of a just-created log; a
-/// torn-header legacy log carries no state and migrates to an empty chain.
-#[test]
-fn legacy_torn_header_log_carries_no_state() {
-    let dir = tmpdir("legacy-torn");
-    fs::create_dir_all(&dir).expect("dir creatable");
-    fs::write(dir.join(LOG_FILE), b"SIO").expect("torn log writable");
-    let engine: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("torn v1 header recovers");
-    assert_eq!(engine.record_count(), 0);
-    drop(engine);
-    let engine: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("migrated chain reopens");
-    assert_eq!(engine.record_count(), 0);
     drop(engine);
     fs::remove_dir_all(&dir).expect("scratch removable");
 }

@@ -338,92 +338,6 @@ proptest! {
         }
     }
 
-    // ---- Shard-affine pooled folding -----------------------------------
-
-    #[test]
-    fn pooled_folding_bit_identical_on_duplicate_keys(
-        steps in prop::collection::vec((0u32..6, 0u32..3, observation()), 1..60),
-        beta in unit(),
-        workers in 1usize..5,
-    ) {
-        // Keys collide constantly (≤ 18 distinct keys), so the
-        // order-sensitive EWMA would expose any cross-worker interleaving
-        // of one key's stream. Shard affinity must keep pooled folding
-        // bit-identical to sequential `observe` — the guarantee that
-        // replaced the old "per-key determinism may differ" caveat.
-        let betas = ForgettingFactors::uniform(beta);
-        let batch: Vec<(u32, TaskId, Observation)> =
-            steps.iter().map(|&(p, t, ref o)| (p, TaskId(t), *o)).collect();
-
-        let mut seq: TrustEngine<u32, ShardedBackend<u32>> = TrustEngine::new();
-        for &(p, t, ref o) in &batch {
-            seq.observe(p, t, o, &betas);
-        }
-
-        // pin both execution strategies, not just whatever Auto resolves
-        // to on the test host
-        for dispatch in [Dispatch::Workers, Dispatch::Inline] {
-            let pool: ObserverPool<u32> = ObserverPool::with_dispatch(workers, dispatch);
-            let pooled = std::sync::Arc::new(TrustEngine::<u32, ShardedBackend<u32>>::with_backend(
-                ShardedBackend::with_shards_for_writers(workers),
-            ));
-            pool.observe_batch(&pooled, &batch, &betas).expect("unit-range observations");
-
-            prop_assert_eq!(seq.record_count(), pooled.record_count());
-            prop_assert_eq!(seq.known_peers(), pooled.known_peers());
-            for &(p, t, _) in &batch {
-                let (a, b) = (seq.record(p, t).unwrap(), pooled.record(p, t).unwrap());
-                prop_assert_eq!(a.s_hat.to_bits(), b.s_hat.to_bits());
-                prop_assert_eq!(a.g_hat.to_bits(), b.g_hat.to_bits());
-                prop_assert_eq!(a.d_hat.to_bits(), b.d_hat.to_bits());
-                prop_assert_eq!(a.c_hat.to_bits(), b.c_hat.to_bits());
-                prop_assert_eq!(a.interactions, b.interactions);
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_folding_bit_identical_on_disjoint_keys(
-        n in 1u32..300,
-        beta in unit(),
-        workers in 1usize..5,
-    ) {
-        // Every (peer, task) key appears exactly once — the insert-heavy
-        // cold-store regime. Counts, peers, and record bits must all match
-        // sequential folding.
-        let betas = ForgettingFactors::uniform(beta);
-        let batch: Vec<(u32, TaskId, Observation)> = (0..n)
-            .map(|i| {
-                (i, TaskId(0), Observation {
-                    success_rate: (i % 7) as f64 / 6.0,
-                    gain: (i % 5) as f64 / 4.0,
-                    damage: (i % 3) as f64 / 2.0,
-                    cost: (i % 2) as f64,
-                })
-            })
-            .collect();
-
-        let mut seq: TrustEngine<u32, ShardedBackend<u32>> = TrustEngine::new();
-        for &(p, t, ref o) in &batch {
-            seq.observe(p, t, o, &betas);
-        }
-
-        for dispatch in [Dispatch::Workers, Dispatch::Inline] {
-            let pool: ObserverPool<u32> = ObserverPool::with_dispatch(workers, dispatch);
-            let pooled = std::sync::Arc::new(TrustEngine::<u32, ShardedBackend<u32>>::with_backend(
-                ShardedBackend::with_shards_for_writers(workers),
-            ));
-            pool.observe_batch(&pooled, &batch, &betas).expect("unit-range observations");
-
-            prop_assert_eq!(seq.record_count() as u32, n);
-            prop_assert_eq!(pooled.record_count() as u32, n);
-            prop_assert_eq!(seq.known_peers(), pooled.known_peers());
-            for &(p, t, _) in &batch {
-                prop_assert_eq!(seq.record(p, t), pooled.record(p, t));
-            }
-        }
-    }
-
     // ---- Delegation-session lifecycle ----------------------------------
 
     #[test]
@@ -566,10 +480,6 @@ proptest! {
         apply_durability_steps(&mut bt, &steps, &betas);
         apply_durability_steps(&mut lg, &steps, &betas);
         engines_bit_identical(&bt, &lg)?;
-
-        let mut wb: TrustEngine<u32, WriteBehind<u32>> = TrustEngine::new();
-        apply_durability_steps(&mut wb, &steps, &betas);
-        engines_bit_identical(&bt, &wb)?;
     }
 }
 
@@ -615,29 +525,6 @@ proptest! {
         let again: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("second reopen");
         engines_bit_identical(&reference, &again)?;
         drop(again);
-        std::fs::remove_dir_all(&dir).expect("scratch dir removable");
-    }
-
-    #[test]
-    fn write_behind_reopen_matches_btree(
-        steps in durability_steps(30),
-        beta in unit(),
-    ) {
-        let betas = ForgettingFactors::uniform(beta);
-        let mut reference: TrustEngine<u32, BTreeBackend<u32>> = TrustEngine::new();
-        apply_durability_steps(&mut reference, &steps, &betas);
-
-        let dir = tmpdir("wb-reopen");
-        {
-            let backend = WriteBehind::<u32>::open(&dir).expect("fresh dir opens");
-            let mut durable: TrustEngine<u32, WriteBehind<u32>> =
-                TrustEngine::with_backend(backend);
-            apply_durability_steps(&mut durable, &steps, &betas);
-        }
-        let reopened: TrustEngine<u32, WriteBehind<u32>> =
-            TrustEngine::with_backend(WriteBehind::open(&dir).expect("reopen"));
-        engines_bit_identical(&reference, &reopened)?;
-        drop(reopened);
         std::fs::remove_dir_all(&dir).expect("scratch dir removable");
     }
 }

@@ -10,7 +10,6 @@ use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
 use siot_core::environment::EnvIndicator;
 use siot_core::framing::StreamDecoder;
-use siot_core::log_backend::{LogBackend, WriteBehind};
 use siot_core::prelude::*;
 use siot_core::service::block_on;
 
@@ -204,30 +203,24 @@ proptest! {
         shards_bit_identical(&batched, &sequential)?;
     }
 
-    /// The same equivalence over durable `WriteBehind` shards — and each
+    /// The same equivalence over durable `LogBackend` shards — and each
     /// reopened shard directory replays to the exact state its actor held
     /// when the remote clients finished.
     #[test]
     fn remote_commits_durable_and_reopen(streams in streams()) {
         let shards = 2usize;
-        let root = tmpdir("remote-service-wb");
+        let root = tmpdir("remote-service-durable");
         let over_wire = run_remote_sharded(
             shards,
-            |shard| {
-                let dir = TrustEngine::<u32, LogBackend<u32>>::shard_dir(&root, shard);
-                TrustEngine::with_backend(WriteBehind::open(dir).expect("shard dir opens"))
-            },
+            |shard| TrustEngine::open_shard(&root, shard).expect("shard dir opens"),
             &streams,
         );
         let sequential = run_sequential(&streams);
         shards_bit_identical(&over_wire, &sequential)?;
 
         drop(over_wire);
-        let reopened: Vec<TrustEngine<u32, WriteBehind<u32>>> = (0..shards)
-            .map(|shard| {
-                let dir = TrustEngine::<u32, LogBackend<u32>>::shard_dir(&root, shard);
-                TrustEngine::with_backend(WriteBehind::open(dir).expect("shard dir reopens"))
-            })
+        let reopened: Vec<DurableTrustStore<u32>> = (0..shards)
+            .map(|shard| TrustEngine::open_shard(&root, shard).expect("shard dir reopens"))
             .collect();
         shards_bit_identical(&reopened, &sequential)?;
         drop(reopened);

@@ -1,7 +1,7 @@
 //! Integration tests for the epoch-snapshotted read-replica tier
 //! (`service::replica` + `Freshness::Snapshot`): snapshot reads taken at
 //! an aligned cut are bit-identical to fresh mailbox reads (BTree,
-//! WriteBehind, and over the wire), the staleness bound is honored with
+//! LogBackend, and over the wire), the staleness bound is honored with
 //! deterministic fall-through to the mailbox, readers never observe a
 //! torn publication under concurrent write load, `QueryMany` batches
 //! answer item-for-item like single reads, and read-only broadcasts on a
@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use siot_core::environment::EnvIndicator;
-use siot_core::log_backend::WriteBehind;
 use siot_core::prelude::*;
 use siot_core::service::block_on;
 
@@ -155,20 +154,17 @@ proptest! {
         service.shutdown().expect("clean shutdown");
     }
 
-    /// Same pin over the durable `WriteBehind` backend — the snapshot is
-    /// fed from receipts, so the store's write-behind queue must not skew
-    /// what the replica publishes.
+    /// Same pin over the durable `LogBackend` — the snapshot is fed from
+    /// receipts, so the journal's append buffer must not skew what the
+    /// replica publishes.
     #[test]
-    fn snapshot_reads_match_fresh_writebehind(streams in streams()) {
-        let root = tmpdir("replica-service-wb");
+    fn snapshot_reads_match_fresh_durable(streams in streams()) {
+        let root = tmpdir("replica-service-durable");
         let shards = 2usize;
         let service = ShardedTrustService::spawn_sharded(
             shards,
             ServiceOptions { mailbox: 8, ..ServiceOptions::default() },
-            |shard| {
-                let dir = TrustEngine::<u32, LogBackend<u32>>::shard_dir(&root, shard);
-                TrustEngine::with_backend(WriteBehind::open(dir).expect("shard dir opens"))
-            },
+            |shard| TrustEngine::open_shard(&root, shard).expect("shard dir opens"),
         );
         let handle = service.handle();
         commit_all(&handle, &streams);

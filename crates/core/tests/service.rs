@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
 use siot_core::environment::EnvIndicator;
-use siot_core::log_backend::{FsyncPolicy, LogOptions, WriteBehind};
+use siot_core::log_backend::{FsyncPolicy, LogOptions};
 use siot_core::prelude::*;
 use siot_core::service::{block_on, ServiceOptions, TrustService};
 
@@ -132,20 +132,19 @@ proptest! {
         bit_identical(&served, &reference)?;
     }
 
-    /// Same equivalence over the durable `WriteBehind` backend — and the
-    /// journal the service's shutdown flushed replays to the same state.
+    /// Same equivalence over the durable `LogBackend` — and the journal
+    /// the service's shutdown flushed replays to the same state.
     #[test]
-    fn service_commits_match_sequential_writebehind(streams in streams()) {
-        let dir = tmpdir("service-wb");
-        let backend = WriteBehind::<u32>::open(&dir).expect("scratch dir opens");
-        let served = run_concurrent(TrustEngine::with_backend(backend), &streams);
+    fn service_commits_match_sequential_durable(streams in streams()) {
+        let dir = tmpdir("service-durable");
+        let engine: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("scratch dir opens");
+        let served = run_concurrent(engine, &streams);
         let reference = run_sequential(&streams);
         bit_identical(&served, &reference)?;
 
         // reopen what shutdown flushed: the durable state is the state
         drop(served);
-        let reopened: TrustEngine<u32, WriteBehind<u32>> =
-            TrustEngine::with_backend(WriteBehind::open(&dir).expect("reopens"));
+        let reopened: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("reopens");
         bit_identical(&reopened, &reference)?;
         std::fs::remove_dir_all(&dir).expect("scratch removable");
     }

@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
 use siot_core::environment::EnvIndicator;
-use siot_core::log_backend::WriteBehind;
 use siot_core::prelude::*;
 use siot_core::service::{block_on, ServiceOptions, TrustService};
 
@@ -175,21 +174,18 @@ proptest! {
         shards_bit_identical(&fleet, &sequential)?;
     }
 
-    /// Same equivalence over the durable `WriteBehind` backend, one journal
+    /// Same equivalence over the durable `LogBackend`, one journal
     /// directory per shard — and each reopened shard directory replays to
     /// the exact state its actor held at shutdown.
     #[test]
-    fn sharded_commits_match_sequential_writebehind_and_reopen(
+    fn sharded_commits_match_sequential_durable_and_reopen(
         streams in streams(),
         shards in 2usize..=4,
     ) {
-        let root = tmpdir("sharded-service-wb");
+        let root = tmpdir("sharded-service-durable");
         let fleet = run_sharded(
             shards,
-            |shard| {
-                let dir = TrustEngine::<u32, LogBackend<u32>>::shard_dir(&root, shard);
-                TrustEngine::with_backend(WriteBehind::open(dir).expect("shard dir opens"))
-            },
+            |shard| TrustEngine::open_shard(&root, shard).expect("shard dir opens"),
             &streams,
         );
         let sequential = run_sequential(&streams);
@@ -197,11 +193,8 @@ proptest! {
 
         // reopen every shard directory: the durable state is the state
         drop(fleet);
-        let reopened: Vec<TrustEngine<u32, WriteBehind<u32>>> = (0..shards)
-            .map(|shard| {
-                let dir = TrustEngine::<u32, LogBackend<u32>>::shard_dir(&root, shard);
-                TrustEngine::with_backend(WriteBehind::open(dir).expect("shard dir reopens"))
-            })
+        let reopened: Vec<DurableTrustStore<u32>> = (0..shards)
+            .map(|shard| TrustEngine::open_shard(&root, shard).expect("shard dir reopens"))
             .collect();
         shards_bit_identical(&reopened, &sequential)?;
         drop(reopened);

@@ -11,18 +11,14 @@
 //!
 //! Reports are the trustors' executed delegation sessions boiled down to a
 //! net profit; the coordinator re-materializes each as an observation and
-//! **batches** them through a shard-affine [`ObserverPool`] — each
-//! `LEDGER_FLUSH`-sized slate is routed by shard and folded by the lane's
-//! owning worker, so flushes stay one storage pass per lane and never
-//! contend — with any (sub-slate-sized) tail folded inline through the
-//! backend's shared handle the moment the ledger is read.
-//! Shard-affine pooled folding is bit-identical to sequential folding, so
-//! routing the fleet ledger through worker threads changes nothing about
-//! its (deterministic) contents.
+//! folds it into the ledger the moment the frame arrives — the app is
+//! driven by a single-threaded event loop that already hands it `&mut
+//! self`, so the ledger is a plain owned engine. Concurrent or batched
+//! ingestion is [`ServedCoordinatorApp`]'s job.
 //!
 //! The ledger's backend is generic: the in-memory [`ShardedBackend`] by
-//! default, or — via [`CoordinatorApp::durable`] — the write-behind
-//! journaled store, so the fleet-wide trust ledger survives a coordinator
+//! default, or — via [`CoordinatorApp::durable`] — the journaled
+//! [`LogBackend`], so the fleet-wide trust ledger survives a coordinator
 //! restart ([`CoordinatorApp::sync_ledger`] forces it to disk; the journal
 //! also flushes on drop).
 
@@ -30,15 +26,14 @@ use crate::device::DeviceId;
 use crate::frame::{Frame, Payload};
 use crate::network::{Application, Ctx};
 use crate::time::SimTime;
-use siot_core::backend::{ConcurrentTrustBackend, ShardedBackend};
+use siot_core::backend::{ShardedBackend, TrustBackend};
 use siot_core::context::Context;
 use siot_core::delegation::{
     CompletedDelegation, DelegationOutcome, DelegationReceipt, DelegationRequest,
 };
 use siot_core::error::TrustError;
 use siot_core::goal::Goal;
-use siot_core::log_backend::{LogOptions, WriteBehind};
-use siot_core::pool::ObserverPool;
+use siot_core::log_backend::LogBackend;
 use siot_core::record::{ForgettingFactors, Observation, TrustRecord};
 use siot_core::service::{
     block_on, FleetTrustHandle, Freshness, Pending, RemotePending, RemoteTrustServiceHandle,
@@ -49,21 +44,14 @@ use siot_core::task::{CharacteristicId, Task, TaskId};
 use std::any::Any;
 use std::cell::RefCell;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Reports do not carry a task id, so the fleet ledger files everything
 /// under one synthetic task.
 const LEDGER_TASK: TaskId = TaskId(0);
 
-/// Pending reports are committed in one storage pass per this many. Sized
-/// so a slate is worth a pool dispatch: on a multicore host each flush
-/// costs one worker handoff + barrier, which a 32-record slate would not
-/// amortize (reads still see every report — the tail flushes lazily).
+/// A served coordinator settles its receipt backlog once this many
+/// submissions are outstanding.
 const LEDGER_FLUSH: usize = 1024;
-
-/// Lane-owning workers folding ledger flushes; the ledger's backend is
-/// sized to match via [`ShardedBackend::with_shards_for_writers`].
-const LEDGER_WRITERS: usize = 2;
 
 /// A reported net profit in `[-1, 1]` as a unit-range ledger observation:
 /// pure gain when positive, pure damage when negative. `None` for
@@ -96,23 +84,15 @@ pub struct CollectedReport {
 
 /// Coordinator application state, generic over the ledger's storage
 /// backend: the in-memory [`ShardedBackend`] by default, or the journaled
-/// [`WriteBehind`] store via [`CoordinatorApp::durable`].
+/// [`LogBackend`] via [`CoordinatorApp::durable`].
 #[derive(Debug)]
-pub struct CoordinatorApp<B: ConcurrentTrustBackend<DeviceId> = ShardedBackend<DeviceId>> {
+pub struct CoordinatorApp<B: TrustBackend<DeviceId> = ShardedBackend<DeviceId>> {
     /// Devices that completed association.
     pub joined: Vec<DeviceId>,
     /// Reports collected from trustors.
     pub reports: Vec<CollectedReport>,
     /// Fleet-wide trustee ledger: every report folded as an observation.
-    /// Shared (`Arc`) with the pool's lane-owning workers.
-    ledger: Arc<TrustEngine<DeviceId, B>>,
-    /// Shard-affine workers the flushes fold through.
-    pool: ObserverPool<DeviceId, B>,
-    /// Validated observations awaiting their batched commit. A `RefCell`
-    /// so the tail can be flushed from the read accessors (the app is
-    /// driven by a single-threaded event loop); the folds themselves go
-    /// through the pool.
-    pending: RefCell<Vec<(DeviceId, TaskId, Observation)>>,
+    ledger: TrustEngine<DeviceId, B>,
 }
 
 impl Default for CoordinatorApp {
@@ -124,103 +104,65 @@ impl Default for CoordinatorApp {
 impl CoordinatorApp {
     /// A fresh coordinator with the in-memory sharded ledger.
     pub fn new() -> Self {
-        Self::with_ledger(TrustEngine::with_backend(ShardedBackend::with_shards_for_writers(
-            LEDGER_WRITERS,
-        )))
+        Self::with_ledger(TrustEngine::new())
     }
 }
 
-impl CoordinatorApp<WriteBehind<DeviceId>> {
-    /// A coordinator whose fleet ledger is **durable**: the write-behind
-    /// journaled store in `dir`, recovered on open — a restarted
-    /// coordinator starts from the fleet-wide trust it already learned
-    /// instead of re-learning the network from scratch. The report fold
-    /// path is unchanged (the sharded front serves the pool); frames
-    /// reach disk on [`Self::sync_ledger`], buffer spills, and drop.
+impl CoordinatorApp<LogBackend<DeviceId>> {
+    /// A coordinator whose fleet ledger is **durable**: the journaled
+    /// store in `dir`, recovered on open — a restarted coordinator starts
+    /// from the fleet-wide trust it already learned instead of re-learning
+    /// the network from scratch. Frames reach disk on
+    /// [`Self::sync_ledger`], buffer spills, and drop.
     pub fn durable(dir: impl AsRef<Path>) -> Result<Self, TrustError> {
-        let backend = WriteBehind::open_with(
-            dir,
-            LogOptions::default(),
-            ShardedBackend::with_shards_for_writers(LEDGER_WRITERS),
-        )?;
-        Ok(Self::with_ledger(TrustEngine::with_backend(backend)))
+        Ok(Self::with_ledger(TrustEngine::open(dir)?))
     }
 
-    /// Commits every pending report to the ledger and forces the journal
-    /// to disk (fsync included). The shared-handle path — works on the
-    /// `Arc`-shared engine the pool workers also hold.
-    pub fn sync_ledger(&self) -> Result<(), TrustError> {
-        self.flush_pending();
-        self.ledger.backend().sync()
+    /// Forces the ledger's journal to disk (fsync included).
+    pub fn sync_ledger(&mut self) -> Result<(), TrustError> {
+        self.ledger.backend_mut().sync()
     }
 
     /// Compacts the ledger's log into a fresh snapshot so replay time and
-    /// disk use stay bounded over a long deployment. Compaction needs
-    /// exclusive access to the engine, which the `Arc`-shared ledger only
-    /// has between pool dispatches — returns `Ok(false)` (try again later)
-    /// if a dispatch still holds a reference.
-    pub fn compact_ledger(&mut self) -> Result<bool, TrustError> {
-        self.flush_pending();
-        match Arc::get_mut(&mut self.ledger) {
-            Some(engine) => {
-                engine.backend_mut().compact()?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+    /// disk use stay bounded over a long deployment.
+    pub fn compact_ledger(&mut self) -> Result<(), TrustError> {
+        self.ledger.compact()
     }
 }
 
-impl<B: ConcurrentTrustBackend<DeviceId> + Send + 'static> CoordinatorApp<B> {
+impl<B: TrustBackend<DeviceId>> CoordinatorApp<B> {
     /// A coordinator over a caller-built ledger engine (pre-warmed, sized,
-    /// or durable — [`Self::durable`] is this plus [`WriteBehind::open_with`]).
+    /// or durable — [`Self::durable`] is this plus [`TrustEngine::open`]).
     pub fn with_ledger(ledger: TrustEngine<DeviceId, B>) -> Self {
-        CoordinatorApp {
-            joined: Vec::new(),
-            reports: Vec::new(),
-            ledger: Arc::new(ledger),
-            pool: ObserverPool::new(LEDGER_WRITERS),
-            pending: RefCell::new(Vec::new()),
-        }
+        CoordinatorApp { joined: Vec::new(), reports: Vec::new(), ledger }
     }
 
-    /// Queues one reported net profit for the ledger. Realized profit lies
+    /// Folds one reported net profit into the ledger. Realized profit lies
     /// in `[-1, 1]`; it maps onto the unit-range observation as pure gain
     /// (profit > 0) or pure damage (profit < 0). Non-finite reports (a
-    /// buggy or malicious device) are dropped — the clamped construction
-    /// plus the `observe_batch` validation guarantee NaN never enters the
-    /// ledger, whose ranking comparator assumes finite profits.
+    /// buggy or malicious device) are dropped — with the clamped
+    /// construction that guarantees NaN never enters the ledger, whose
+    /// ranking comparator assumes finite profits.
     fn fold_report(&mut self, selected: DeviceId, net_profit: f64) {
-        let Some(obs) = report_observation(net_profit) else {
-            return;
-        };
-        let pending = self.pending.get_mut();
-        pending.push((selected, LEDGER_TASK, obs));
-        if pending.len() >= LEDGER_FLUSH {
-            let batch = std::mem::take(pending);
-            // observations are pre-clamped, so the only reachable error
-            // is a fold panic inside the pool
-            self.pool
-                .observe_batch(&self.ledger, &batch, &ForgettingFactors::figures())
-                .unwrap_or_else(|e| panic!("ledger flush failed: {e}"));
+        if let Some(obs) = report_observation(net_profit) {
+            self.ledger.observe(selected, LEDGER_TASK, &obs, &ForgettingFactors::figures());
         }
     }
 
-    /// The fleet-wide ledger, with all received reports committed.
+    /// The fleet-wide ledger, holding every report received so far.
     pub fn ledger(&self) -> &TrustEngine<DeviceId, B> {
-        self.flush_pending();
         &self.ledger
     }
 
     /// Trustees ranked by fleet-wide expected net profit, best first
     /// (ties broken by id, so the ranking is deterministic).
     pub fn trustee_ranking(&self) -> Vec<(DeviceId, f64)> {
-        let ledger = self.ledger();
-        let mut ranked: Vec<(DeviceId, f64)> = ledger
+        let mut ranked: Vec<(DeviceId, f64)> = self
+            .ledger
             .known_peers()
             .into_iter()
             .filter_map(|peer| {
-                ledger.record(peer, LEDGER_TASK).map(|r| (peer, r.expected_net_profit()))
+                self.ledger.record(peer, LEDGER_TASK).map(|r| (peer, r.expected_net_profit()))
             })
             .collect();
         ranked.sort_by(|a, b| {
@@ -230,33 +172,7 @@ impl<B: ConcurrentTrustBackend<DeviceId> + Send + 'static> CoordinatorApp<B> {
     }
 }
 
-impl<B: ConcurrentTrustBackend<DeviceId>> CoordinatorApp<B> {
-    /// Flushes any pending tail so reads see every report received so far.
-    /// Tails are (by construction) smaller than `LEDGER_FLUSH` — too small
-    /// to amortize a pool dispatch — so they fold inline through the
-    /// backend's shared handle instead. Also runs on drop, so queued
-    /// reports reach the ledger (and a durable ledger's journal) even
-    /// without a final read or sync.
-    fn flush_pending(&self) {
-        let batch = std::mem::take(&mut *self.pending.borrow_mut());
-        if !batch.is_empty() {
-            self.ledger
-                .observe_batch_shared(&batch, &ForgettingFactors::figures())
-                .expect("queued observations are clamped to the unit range");
-        }
-    }
-}
-
-impl<B: ConcurrentTrustBackend<DeviceId>> Drop for CoordinatorApp<B> {
-    /// Queued reports are folded before the ledger drops: a durable
-    /// coordinator that shuts down mid-slate loses nothing (the backend's
-    /// journal flushes when the engine drops right after).
-    fn drop(&mut self) {
-        self.flush_pending();
-    }
-}
-
-impl<B: ConcurrentTrustBackend<DeviceId> + Send + 'static> Application for CoordinatorApp<B> {
+impl<B: TrustBackend<DeviceId> + 'static> Application for CoordinatorApp<B> {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame) {
         match frame.payload {
             Payload::AssocRequest => {
@@ -286,7 +202,7 @@ impl<B: ConcurrentTrustBackend<DeviceId> + Send + 'static> Application for Coord
 // ---------------------------------------------------------------------------
 
 /// The coordinator's **service-backed mode**: instead of owning a ledger
-/// engine (plus a worker pool to fold into it), the coordinator holds a
+/// engine, the coordinator holds a
 /// [`TrustServiceHandle`] and forwards every trustor report through it as
 /// a completed delegation session — the trustors' feedback literally goes
 /// through the handle, and the
@@ -304,8 +220,7 @@ impl<B: ConcurrentTrustBackend<DeviceId> + Send + 'static> Application for Coord
 ///   drain finds real batches and each `Report` frame costs one channel
 ///   send, not a cross-thread round trip;
 /// * durability is the service's problem: spawn it over a
-///   [`LogBackend`](siot_core::log_backend::LogBackend) or
-///   [`WriteBehind`] engine and the service's graceful shutdown drains +
+///   [`LogBackend`] engine and the service's graceful shutdown drains +
 ///   flushes, so every acked report survives a restart.
 ///
 /// Receipts are settled lazily — on [`Self::settle`],
@@ -507,10 +422,9 @@ impl ServedCoordinatorApp {
         .finish(DelegationOutcome::observed(obs))
         .expect("report observations are clamped to the unit range");
         self.pending.get_mut().push(self.handle.submit(completed));
-        // bound the receipt backlog like CoordinatorApp bounds its pending
-        // slate: by the time a full slate has been submitted, the actor
-        // has long drained the oldest, so settling is resolution, not a
-        // stall
+        // bound the receipt backlog: by the time a full slate has been
+        // submitted, the actor has long drained the oldest, so settling is
+        // resolution, not a stall
         if self.pending.get_mut().len() >= LEDGER_FLUSH {
             self.settle();
         }
@@ -655,8 +569,6 @@ mod tests {
     #[test]
     fn ranking_orders_by_reported_profit() {
         let mut app = CoordinatorApp::new();
-        // 15 reports: one LEDGER_FLUSH-sized batch would not fill, so this
-        // also exercises the lazy tail flush on read
         for _ in 0..5 {
             app.fold_report(DeviceId(3), 0.8);
             app.fold_report(DeviceId(5), -0.4);
@@ -675,13 +587,16 @@ mod tests {
     }
 
     #[test]
-    fn full_slates_flush_through_the_pool() {
-        // enough reports to cross LEDGER_FLUSH, so the pool dispatch path
-        // (not just the inline tail flush) folds most of the ledger
-        let mut app = CoordinatorApp::new();
-        for i in 0..(super::LEDGER_FLUSH + 100) {
-            app.fold_report(DeviceId((i % 7) as u32), 0.5);
-        }
+    fn every_report_is_one_interaction_and_ranking_is_deterministic() {
+        const REPORTS: usize = 1124;
+        let fold_all = || {
+            let mut app = CoordinatorApp::new();
+            for i in 0..REPORTS {
+                app.fold_report(DeviceId((i % 7) as u32), (i % 5) as f64 / 4.0 - 0.5);
+            }
+            app
+        };
+        let app = fold_all();
         let total: u64 = app
             .ledger()
             .known_peers()
@@ -689,8 +604,14 @@ mod tests {
             .filter_map(|d| app.ledger().record(d, super::LEDGER_TASK))
             .map(|r| r.interactions)
             .sum();
-        assert_eq!(total, (super::LEDGER_FLUSH + 100) as u64);
-        assert_eq!(app.trustee_ranking().len(), 7);
+        assert_eq!(total, REPORTS as u64);
+        let ranking = app.trustee_ranking();
+        assert_eq!(ranking.len(), 7);
+        assert_eq!(
+            ranking,
+            fold_all().trustee_ranking(),
+            "same reports, same ranking, bit for bit"
+        );
     }
 
     #[test]
@@ -705,9 +626,8 @@ mod tests {
                 app.fold_report(DeviceId(4), 0.2);
             }
             app.sync_ledger().expect("ledger syncs to disk");
-            // a tail report queued *after* the sync — never read, never
-            // synced — still persists: drop folds the pending slate and
-            // the journal flushes when the engine drops
+            // a report folded *after* the sync — never read, never synced —
+            // still persists: the journal flushes when the engine drops
             app.fold_report(DeviceId(3), 0.6);
         }
         // "restart": a new coordinator process over the same directory
@@ -722,10 +642,10 @@ mod tests {
         );
         // compaction keeps the on-disk footprint bounded and the state
         // intact across yet another restart
-        assert!(app.compact_ledger().expect("compaction succeeds"), "no dispatch in flight");
+        app.compact_ledger().expect("compaction succeeds");
         drop(app);
         let app = CoordinatorApp::durable(&dir).expect("post-compaction reopen");
-        assert_eq!(app.trustee_ranking().len(), 3);
+        assert_eq!(app.trustee_ranking(), ranking);
         assert_eq!(
             app.ledger().record(DeviceId(3), super::LEDGER_TASK).expect("compacted").interactions,
             6
@@ -772,7 +692,6 @@ mod tests {
 
     #[test]
     fn served_coordinator_durable_ledger_survives_service_restart() {
-        use siot_core::log_backend::LogBackend;
         use siot_core::service::{ServiceOptions, TrustService};
 
         let dir = std::env::temp_dir().join(format!("siot-served-ledger-{}", std::process::id()));
@@ -959,7 +878,6 @@ mod tests {
 
     #[test]
     fn served_coordinator_sharded_durable_ledger_survives_restart() {
-        use siot_core::log_backend::LogBackend;
         use siot_core::service::{ServiceOptions, ShardedTrustService};
 
         let root = std::env::temp_dir().join(format!("siot-served-sharded-{}", std::process::id()));

@@ -16,8 +16,7 @@ impl DeviceId {
 
 /// Device ids serialize into durable trust logs over their dense index, so
 /// a coordinator's fleet ledger can live in a
-/// [`LogBackend`](siot_core::log_backend::LogBackend) /
-/// [`WriteBehind`](siot_core::log_backend::WriteBehind) store.
+/// [`LogBackend`](siot_core::log_backend::LogBackend) store.
 impl siot_core::log_backend::LogKey for DeviceId {
     fn to_log_u64(self) -> u64 {
         self.0 as u64

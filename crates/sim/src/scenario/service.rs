@@ -243,30 +243,11 @@ pub fn run_sequential(cfg: &ServiceScenarioConfig) -> ServiceScenarioOutcome {
 /// sequential single-actor reference bit-for-bit.
 pub fn run_sharded(cfg: &ServiceScenarioConfig, shards: usize) -> ServiceScenarioOutcome {
     let task = Task::uniform(SERVICE_TASK, [CharacteristicId(0)]).expect("non-empty task");
-    let service = ShardedTrustService::spawn_sharded(
-        shards,
-        ServiceOptions { mailbox: cfg.mailbox, ..ServiceOptions::default() },
-        |_| {
-            let mut engine: TrustEngine<u64, ShardedBackend<u64>> = TrustEngine::new();
-            engine.register_task(task.clone());
-            engine
-        },
-    );
+    let service = spawn_shards(cfg, &task, shards);
     let (per_requester, declined) =
         drive_fleet(cfg, &task, &ScenarioHandle::Sharded(service.handle()), true);
     let engines = service.shutdown().expect("scenario shards shut down cleanly");
-    let mut final_records: Vec<(u64, TrustRecord)> = engines
-        .iter()
-        .flat_map(|engine| {
-            engine
-                .known_peers()
-                .into_iter()
-                .filter_map(|peer| engine.record(peer, SERVICE_TASK).map(|rec| (peer, rec)))
-        })
-        .collect();
-    // shards are disjoint: the merge is a sort, not a fold
-    final_records.sort_unstable_by_key(|&(peer, _)| peer);
-    outcome(per_requester, declined, final_records)
+    outcome(per_requester, declined, merged_records(engines))
 }
 
 /// [`run_sharded`], but **over the wire**: the fleet of `shards` actors is
@@ -277,15 +258,7 @@ pub fn run_sharded(cfg: &ServiceScenarioConfig, shards: usize) -> ServiceScenari
 /// must still match the sequential in-process reference bit-for-bit.
 pub fn run_remote(cfg: &ServiceScenarioConfig, shards: usize) -> ServiceScenarioOutcome {
     let task = Task::uniform(SERVICE_TASK, [CharacteristicId(0)]).expect("non-empty task");
-    let service = ShardedTrustService::spawn_sharded(
-        shards,
-        ServiceOptions { mailbox: cfg.mailbox, ..ServiceOptions::default() },
-        |_| {
-            let mut engine: TrustEngine<u64, ShardedBackend<u64>> = TrustEngine::new();
-            engine.register_task(task.clone());
-            engine
-        },
-    );
+    let service = spawn_shards(cfg, &task, shards);
     let server =
         RemoteTrustServer::bind("127.0.0.1:0", service.handle()).expect("loopback listener binds");
     let remote = RemoteTrustServiceHandle::<u64>::connect(server.local_addr())
@@ -293,17 +266,7 @@ pub fn run_remote(cfg: &ServiceScenarioConfig, shards: usize) -> ServiceScenario
     let (per_requester, declined) = drive_fleet(cfg, &task, &ScenarioHandle::Remote(remote), true);
     server.shutdown();
     let engines = service.shutdown().expect("scenario shards shut down cleanly");
-    let mut final_records: Vec<(u64, TrustRecord)> = engines
-        .iter()
-        .flat_map(|engine| {
-            engine
-                .known_peers()
-                .into_iter()
-                .filter_map(|peer| engine.record(peer, SERVICE_TASK).map(|rec| (peer, rec)))
-        })
-        .collect();
-    final_records.sort_unstable_by_key(|&(peer, _)| peer);
-    outcome(per_requester, declined, final_records)
+    outcome(per_requester, declined, merged_records(engines))
 }
 
 /// [`run_remote`], but across a **fleet of nodes**: `nodes` independent
@@ -318,19 +281,7 @@ pub fn run_fleet(
     shards: usize,
 ) -> ServiceScenarioOutcome {
     let task = Task::uniform(SERVICE_TASK, [CharacteristicId(0)]).expect("non-empty task");
-    let services: Vec<_> = (0..nodes)
-        .map(|_| {
-            ShardedTrustService::spawn_sharded(
-                shards,
-                ServiceOptions { mailbox: cfg.mailbox, ..ServiceOptions::default() },
-                |_| {
-                    let mut engine: TrustEngine<u64, ShardedBackend<u64>> = TrustEngine::new();
-                    engine.register_task(task.clone());
-                    engine
-                },
-            )
-        })
-        .collect();
+    let services: Vec<_> = (0..nodes).map(|_| spawn_shards(cfg, &task, shards)).collect();
     let servers: Vec<_> = services
         .iter()
         .map(|s| RemoteTrustServer::bind("127.0.0.1:0", s.handle()).expect("loopback bind"))
@@ -341,25 +292,14 @@ pub fn run_fleet(
     for server in servers {
         server.shutdown();
     }
-    let mut final_records: Vec<(u64, TrustRecord)> = services
-        .into_iter()
-        .flat_map(|s| s.shutdown().expect("scenario nodes shut down cleanly"))
-        .flat_map(|engine| {
-            engine
-                .known_peers()
-                .into_iter()
-                .filter_map(|peer| engine.record(peer, SERVICE_TASK).map(|rec| (peer, rec)))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    // nodes and shards partition the key space: the merge is a sort
-    final_records.sort_unstable_by_key(|&(peer, _)| peer);
-    outcome(per_requester, declined, final_records)
+    let engines =
+        services.into_iter().flat_map(|s| s.shutdown().expect("scenario nodes shut down cleanly"));
+    outcome(per_requester, declined, merged_records(engines))
 }
 
 fn run_inner(cfg: &ServiceScenarioConfig, concurrent: bool) -> ServiceScenarioOutcome {
     let task = Task::uniform(SERVICE_TASK, [CharacteristicId(0)]).expect("non-empty task");
-    let mut engine: TrustEngine<u64, ShardedBackend<u64>> = TrustEngine::new();
+    let mut engine: ScenarioEngine = TrustEngine::new();
     engine.register_task(task.clone());
     let service = TrustService::spawn(
         engine,
@@ -368,13 +308,42 @@ fn run_inner(cfg: &ServiceScenarioConfig, concurrent: bool) -> ServiceScenarioOu
     let (per_requester, declined) =
         drive_fleet(cfg, &task, &ScenarioHandle::Single(service.handle()), concurrent);
     let engine = service.shutdown().expect("scenario service shuts down cleanly");
-    let mut final_records: Vec<(u64, TrustRecord)> = Vec::with_capacity(engine.record_count());
-    for peer in engine.known_peers() {
-        if let Some(rec) = engine.record(peer, SERVICE_TASK) {
-            final_records.push((peer, rec));
-        }
-    }
-    outcome(per_requester, declined, final_records)
+    outcome(per_requester, declined, merged_records([engine]))
+}
+
+type ScenarioEngine = TrustEngine<u64, ShardedBackend<u64>>;
+
+/// A sharded service of `shards` actors, every engine knowing `task`.
+fn spawn_shards(
+    cfg: &ServiceScenarioConfig,
+    task: &Task,
+    shards: usize,
+) -> ShardedTrustService<u64, ShardedBackend<u64>> {
+    ShardedTrustService::spawn_sharded(
+        shards,
+        ServiceOptions { mailbox: cfg.mailbox, ..ServiceOptions::default() },
+        |_| {
+            let mut engine: ScenarioEngine = TrustEngine::new();
+            engine.register_task(task.clone());
+            engine
+        },
+    )
+}
+
+/// The `(peer, record)` pairs of every engine, ascending by peer. Shards
+/// (and nodes) partition the key space, so the merge is a sort, not a fold.
+fn merged_records(engines: impl IntoIterator<Item = ScenarioEngine>) -> Vec<(u64, TrustRecord)> {
+    let mut records: Vec<(u64, TrustRecord)> = engines
+        .into_iter()
+        .flat_map(|engine| {
+            engine
+                .known_peers()
+                .into_iter()
+                .filter_map(move |peer| engine.record(peer, SERVICE_TASK).map(|rec| (peer, rec)))
+        })
+        .collect();
+    records.sort_unstable_by_key(|&(peer, _)| peer);
+    records
 }
 
 /// Every requester's drive — racing threads or one after another — with
