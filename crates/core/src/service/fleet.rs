@@ -1285,6 +1285,10 @@ mod tests {
             largest_commit_batch: 0,
             last_commit_batch: 0,
             published_epoch: 0,
+            fold_ns: 0,
+            mirror_ns: 0,
+            publish_ns: 0,
+            ack_ns: 0,
         };
         let stats = NodeStats {
             addr: "127.0.0.1:7477".into(),

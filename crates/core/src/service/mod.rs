@@ -107,6 +107,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 pub mod fault;
 pub mod fleet;
@@ -160,7 +161,10 @@ pub struct ServiceOptions {
     /// the end of every mutating drain, *before* the drain's receipts are
     /// acked, so an awaited commit is already visible to snapshot reads).
     /// Larger values amortize publication on write-hot shards at the cost
-    /// of replica staleness — the lag [`Freshness::Snapshot`] bounds. See
+    /// of replica staleness — the lag [`Freshness::Snapshot`] bounds. A
+    /// larger value also widens the interval over which the mirror reuses
+    /// the nodes it already copied: a tree node is copied at most once
+    /// between two publications, however many commits rewrite it. See
     /// the [`replica`] module docs. Drains that fold nothing never
     /// publish.
     pub publish_every: u64,
@@ -209,6 +213,21 @@ pub struct ShardStats {
     /// how far snapshot readers trail this shard's write path. Reported
     /// to remote clients like every other counter.
     pub published_epoch: u64,
+    /// Cumulative nanoseconds the actor spent in each stage of its commit
+    /// storage passes — the write path's cost split, read off the clock
+    /// five times per pass (never per commit). Divide by
+    /// [`committed`](Self::committed) for a per-commit figure. `fold_ns`:
+    /// the engine's `commit_batch_receipts` plus the group-commit barrier.
+    pub fold_ns: u64,
+    /// Mirroring the pass's receipts into the replica's working copy (see
+    /// [`replica`]): the node copies and in-place writes.
+    pub mirror_ns: u64,
+    /// Noting the fold and, when [`ServiceOptions::publish_every`] says
+    /// so, swapping the new [`ReadSnapshot`] in — which also frees the
+    /// nodes only the replaced snapshot still held.
+    pub publish_ns: u64,
+    /// Sending the receipts back to their submitters.
+    pub ack_ns: u64,
 }
 
 impl ShardStats {
@@ -950,6 +969,7 @@ fn flush_batch<P: Copy + Ord, B: TrustBackend<P>>(
     stats.commit_batches += 1;
     stats.largest_commit_batch = stats.largest_commit_batch.max(folded);
     stats.last_commit_batch = folded;
+    let started = Instant::now();
     let receipts = engine.commit_batch_receipts(std::mem::take(pending), betas);
     // ack-after-sync: `commit_batch_receipts` ends with the group-commit
     // barrier, so by this line every frame of the drained batch is covered
@@ -958,6 +978,7 @@ fn flush_batch<P: Copy + Ord, B: TrustBackend<P>>(
     // the held receipts go back to their callers: an acked receipt is a
     // durable receipt.
     let _ = engine.commit_barrier();
+    let folded_at = Instant::now();
     // publish-before-ack: each receipt carries the absolute post-fold
     // record, so the replica mirror folds from the receipts alone; with
     // the default policy the snapshot is published here, so an awaited
@@ -965,7 +986,9 @@ fn flush_batch<P: Copy + Ord, B: TrustBackend<P>>(
     for receipt in &receipts {
         publisher.apply(receipt);
     }
+    let mirrored_at = Instant::now();
     publisher.folded(stats.drains + 1, stats);
+    let published_at = Instant::now();
     let mut receipts = receipts.into_iter();
     for ack in acks.drain(..) {
         match ack {
@@ -980,6 +1003,11 @@ fn flush_batch<P: Copy + Ord, B: TrustBackend<P>>(
             }
         }
     }
+    let nanos = |from: Instant, to: Instant| (to - from).as_nanos() as u64;
+    stats.fold_ns += nanos(started, folded_at);
+    stats.mirror_ns += nanos(folded_at, mirrored_at);
+    stats.publish_ns += nanos(mirrored_at, published_at);
+    stats.ack_ns += nanos(published_at, Instant::now());
 }
 
 #[cfg(test)]

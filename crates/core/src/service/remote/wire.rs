@@ -37,7 +37,10 @@ use crate::tw::Trustworthiness;
 /// travels with its staleness bound, `ShardStats` gained
 /// `published_epoch`, and the vectored [`Request::QueryMany`] opcode
 /// batches homogeneous reads into one frame.
-pub const WIRE_VERSION: u8 = 2;
+///
+/// v3: `ShardStats` gained the write path's stage timers (`fold_ns`,
+/// `mirror_ns`, `publish_ns`, `ack_ns`).
+pub const WIRE_VERSION: u8 = 3;
 
 /// Bytes of the connection banner each end sends first.
 pub const BANNER_LEN: usize = 8;
@@ -648,6 +651,10 @@ pub fn put_stats(out: &mut Vec<u8>, stats: &[ShardStats]) {
             s.largest_commit_batch as u64,
             s.last_commit_batch as u64,
             s.published_epoch,
+            s.fold_ns,
+            s.mirror_ns,
+            s.publish_ns,
+            s.ack_ns,
         ] {
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -672,6 +679,10 @@ pub fn decode_stats(body: &[u8]) -> Result<Vec<ShardStats>, TrustError> {
             largest_commit_batch: r.u64()? as usize,
             last_commit_batch: r.u64()? as usize,
             published_epoch: r.u64()?,
+            fold_ns: r.u64()?,
+            mirror_ns: r.u64()?,
+            publish_ns: r.u64()?,
+            ack_ns: r.u64()?,
         });
     }
     r.finish()?;
@@ -1311,6 +1322,10 @@ mod tests {
             largest_commit_batch: 16,
             last_commit_batch: 4,
             published_epoch: 6,
+            fold_ns: 650,
+            mirror_ns: 1100,
+            publish_ns: 620,
+            ack_ns: 430,
         }];
         let mut body = Vec::new();
         put_stats(&mut body, &stats);

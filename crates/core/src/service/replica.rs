@@ -9,9 +9,12 @@
 //! * Each shard actor **publishes** an immutable, epoch-stamped
 //!   [`ReadSnapshot`] of its read state at the end of every drain cycle
 //!   that folded commits. Publication is cheap — the snapshot is a
-//!   persistent (structurally shared) tree, so publishing clones an `Arc`,
-//!   not the records — and it never blocks the write path: the shared
-//!   slot is swapped under a pointer-sized critical section.
+//!   copy-on-write tree sharing its nodes with the actor's working copy,
+//!   so publishing clones an `Arc`, not the records, and what it costs
+//!   the write path is one node copy per *distinct* tree node the commits
+//!   between two publications touched (not one per commit) — and it never
+//!   blocks the write path: the shared slot is swapped under a
+//!   pointer-sized critical section.
 //! * A [`ReplicaHandle`] serves `trustworthiness` / `record` /
 //!   `known_peers` / `task_records` directly off the latest snapshots with
 //!   **zero mailbox traffic** — reads scale independently of the actors
@@ -90,21 +93,37 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
-// A persistent (structurally shared) AVL map from peer to its task records.
+// A copy-on-write AVL map from peer to its task records.
 //
-// The actor applies every receipt to its working copy via O(log n)
-// path-copying, and "publishing" the whole read state is then one `Arc`
-// clone of the root — no deep copy per drain, which is what makes
-// publish-per-drain affordable at 100k+ records. Nodes the update path
-// does not touch are shared between the working copy and every published
-// snapshot (SymanticWeft ADR-0005's frame: immutable units, convergence
-// without coordination).
+// Ownership rule — the one thing that decides whether a node is copied or
+// mutated: **a node may be mutated only through an `Arc` whose strong
+// count is 1**, which `Arc::make_mut` reads and nothing else records. The
+// actor's working copy and every published `ReadSnapshot` are `PeerMap`s
+// over the same nodes; publishing clones the root `Arc`, so the root is
+// then shared, and the first upsert afterwards clones it (`make_mut`),
+// which in turn makes its two children shared, and so on down the search
+// path: a node reachable from a snapshot is always cloned before it is
+// written, so a published snapshot never changes. The clone is owned by
+// the working copy alone, so every later upsert through it — until the
+// next publication shares the root again — mutates it in place, rotations
+// included (they rewire owned nodes, they allocate nothing). A peer's
+// record vector sits behind its own `Arc` under the same rule.
+//
+// What a publication costs, then: one node copy per *distinct* path node
+// touched between two publications (a drain of several hundred receipts
+// copies the top of the tree once, not once per receipt), one `Arc` clone
+// of the root to publish, and freeing that same set of replaced nodes when
+// the previous snapshot's last reader drops it. Nodes no upsert touched
+// stay shared between the working copy and every snapshot (SymanticWeft
+// ADR-0005's frame: immutable units, convergence without coordination).
 // ---------------------------------------------------------------------------
 
 type Recs = Arc<Vec<(TaskId, TrustRecord)>>;
 type Link<P> = Option<Arc<Node<P>>>;
+/// One peer's seed records, in visit order.
+type Group<P> = (P, Vec<(TaskId, TrustRecord)>);
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Node<P> {
     peer: P,
     /// This peer's records, ascending by task — small (one entry per task
@@ -116,126 +135,209 @@ struct Node<P> {
     right: Link<P>,
 }
 
+impl<P> Node<P> {
+    fn fix_height(&mut self) {
+        self.height = 1 + height(&self.left).max(height(&self.right));
+    }
+}
+
 fn height<P>(link: &Link<P>) -> u8 {
     link.as_ref().map_or(0, |n| n.height)
 }
 
-fn mk<P: Copy>(peer: P, recs: Recs, left: Link<P>, right: Link<P>) -> Arc<Node<P>> {
-    let height = 1 + height(&left).max(height(&right));
-    Arc::new(Node { peer, recs, height, left, right })
+/// Lifts `top`'s left child into its place (`top` becomes that child's
+/// right child), copying only what a snapshot still shares.
+fn rotate_right<P: Copy>(top: &mut Arc<Node<P>>) {
+    let node = Arc::make_mut(top);
+    let mut lifted = node.left.take().expect("a right rotation has a left child");
+    node.left = Arc::make_mut(&mut lifted).right.take();
+    node.fix_height();
+    std::mem::swap(top, &mut lifted);
+    // `top` is the lifted child, made unique above; `lifted` the old top
+    let node = Arc::make_mut(top);
+    node.right = Some(lifted);
+    node.fix_height();
 }
 
-/// Rebuilds a node after one child changed, restoring the AVL invariant.
+/// Mirror image of [`rotate_right`].
+fn rotate_left<P: Copy>(top: &mut Arc<Node<P>>) {
+    let node = Arc::make_mut(top);
+    let mut lifted = node.right.take().expect("a left rotation has a right child");
+    node.right = Arc::make_mut(&mut lifted).left.take();
+    node.fix_height();
+    std::mem::swap(top, &mut lifted);
+    let node = Arc::make_mut(top);
+    node.left = Some(lifted);
+    node.fix_height();
+}
+
+/// Restores the AVL invariant at `top` after one child grew by a level.
 /// Inserts add at most one level, so the single/double rotations of
 /// textbook AVL insertion are exhaustive (records are never deleted
 /// through the service, so no deletion rebalancing exists).
-fn balance<P: Copy>(peer: P, recs: Recs, left: Link<P>, right: Link<P>) -> Arc<Node<P>> {
-    let (hl, hr) = (height(&left), height(&right));
+fn rebalance<P: Copy>(top: &mut Arc<Node<P>>) {
+    let node = Arc::make_mut(top);
+    let (hl, hr) = (height(&node.left), height(&node.right));
     if hl > hr + 1 {
-        let l = left.expect("left height >= 2 implies a left child");
-        if height(&l.left) >= height(&l.right) {
-            // single right rotation
-            let lifted = mk(peer, recs, l.right.clone(), right);
-            mk(l.peer, Arc::clone(&l.recs), l.left.clone(), Some(lifted))
-        } else {
-            // left-right double rotation
-            let lr = l.right.as_ref().expect("left-right case has a left-right child");
-            let new_left = mk(l.peer, Arc::clone(&l.recs), l.left.clone(), lr.left.clone());
-            let new_right = mk(peer, recs, lr.right.clone(), right);
-            mk(lr.peer, Arc::clone(&lr.recs), Some(new_left), Some(new_right))
+        let left = node.left.as_mut().expect("left height >= 2 implies a left child");
+        if height(&left.left) < height(&left.right) {
+            rotate_left(left);
         }
+        rotate_right(top);
     } else if hr > hl + 1 {
-        let r = right.expect("right height >= 2 implies a right child");
-        if height(&r.right) >= height(&r.left) {
-            // single left rotation
-            let lifted = mk(peer, recs, left, r.left.clone());
-            mk(r.peer, Arc::clone(&r.recs), Some(lifted), r.right.clone())
-        } else {
-            // right-left double rotation
-            let rl = r.left.as_ref().expect("right-left case has a right-left child");
-            let new_left = mk(peer, recs, left, rl.left.clone());
-            let new_right = mk(r.peer, Arc::clone(&r.recs), rl.right.clone(), r.right.clone());
-            mk(rl.peer, Arc::clone(&rl.recs), Some(new_left), Some(new_right))
+        let right = node.right.as_mut().expect("right height >= 2 implies a right child");
+        if height(&right.right) < height(&right.left) {
+            rotate_right(right);
         }
+        rotate_left(top);
     } else {
-        mk(peer, recs, left, right)
+        node.height = 1 + hl.max(hr);
     }
 }
 
-/// Path-copying upsert: returns the new subtree root and whether a new
-/// `(peer, task)` entry was created (as opposed to replaced).
-fn upsert<P: Copy + Ord>(
-    link: &Link<P>,
-    peer: P,
-    task: TaskId,
-    rec: TrustRecord,
-) -> (Arc<Node<P>>, bool) {
-    match link {
-        None => (
-            Arc::new(Node {
-                peer,
-                recs: Arc::new(vec![(task, rec)]),
-                height: 1,
-                left: None,
-                right: None,
-            }),
-            true,
-        ),
-        Some(n) => match peer.cmp(&n.peer) {
-            CmpOrdering::Equal => {
-                let mut recs = (*n.recs).clone();
-                let added = match recs.binary_search_by_key(&task, |&(t, _)| t) {
-                    Ok(i) => {
-                        recs[i].1 = rec;
-                        false
-                    }
-                    Err(i) => {
-                        recs.insert(i, (task, rec));
-                        true
-                    }
-                };
-                (
-                    Arc::new(Node {
-                        peer: n.peer,
-                        recs: Arc::new(recs),
-                        height: n.height,
-                        left: n.left.clone(),
-                        right: n.right.clone(),
-                    }),
-                    added,
-                )
-            }
-            CmpOrdering::Less => {
-                let (new_left, added) = upsert(&n.left, peer, task, rec);
-                (balance(n.peer, Arc::clone(&n.recs), Some(new_left), n.right.clone()), added)
-            }
-            CmpOrdering::Greater => {
-                let (new_right, added) = upsert(&n.right, peer, task, rec);
-                (balance(n.peer, Arc::clone(&n.recs), n.left.clone(), Some(new_right)), added)
-            }
-        },
-    }
+/// What one [`upsert`] did to the subtree it was given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Upserted {
+    /// An existing `(peer, task)` record was overwritten.
+    Replaced,
+    /// A known peer gained a record for a new task.
+    NewRecord,
+    /// A node was inserted; `taller` while the insertion still raised the
+    /// height of the subtree being returned from.
+    NewPeer { taller: bool },
 }
 
-/// The snapshot's record store: cloning is O(1) (the root `Arc`), an
-/// upsert path-copies O(log n) nodes.
+/// Copy-on-write upsert: every node on the search path is made unique
+/// (`Arc::make_mut` — cloned if a snapshot shares it, untouched if the
+/// working copy already owns it) and then written in place.
+fn upsert<P: Copy + Ord>(link: &mut Link<P>, peer: P, task: TaskId, rec: TrustRecord) -> Upserted {
+    let Some(top) = link else {
+        let recs = Arc::new(vec![(task, rec)]);
+        *link = Some(Arc::new(Node { peer, recs, height: 1, left: None, right: None }));
+        return Upserted::NewPeer { taller: true };
+    };
+    let node = Arc::make_mut(top);
+    let below = match peer.cmp(&node.peer) {
+        CmpOrdering::Equal => {
+            let recs = Arc::make_mut(&mut node.recs);
+            return match recs.binary_search_by_key(&task, |&(t, _)| t) {
+                Ok(i) => {
+                    recs[i].1 = rec;
+                    Upserted::Replaced
+                }
+                Err(i) => {
+                    recs.insert(i, (task, rec));
+                    Upserted::NewRecord
+                }
+            };
+        }
+        CmpOrdering::Less => upsert(&mut node.left, peer, task, rec),
+        CmpOrdering::Greater => upsert(&mut node.right, peer, task, rec),
+    };
+    if below != (Upserted::NewPeer { taller: true }) {
+        return below;
+    }
+    let before = node.height;
+    rebalance(top);
+    Upserted::NewPeer { taller: top.height > before }
+}
+
+/// Builds the balanced tree over the next `n` groups of an ascending
+/// stream in O(n): the middle group becomes the root, so sibling subtrees
+/// differ by at most one node and hence at most one level.
+fn build<P>(groups: &mut impl Iterator<Item = Group<P>>, n: usize) -> Link<P> {
+    if n == 0 {
+        return None;
+    }
+    let left = build(groups, n / 2);
+    let (peer, recs) = groups.next().expect("the caller counted the groups");
+    let right = build(groups, n - n / 2 - 1);
+    let height = 1 + height(&left).max(height(&right));
+    Some(Arc::new(Node { peer, recs: Arc::new(recs), height, left, right }))
+}
+
+/// Puts seed groups that arrived out of order into the shape [`build`]
+/// takes — one group per peer, ascending, its records strictly ascending
+/// by task — keeping the last-visited record of a repeated key, as
+/// sequential upserts would.
+fn merge_groups<P: Ord>(mut groups: Vec<Group<P>>) -> Vec<Group<P>> {
+    // both sorts are stable: visit order survives among equal keys
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut merged: Vec<Group<P>> = Vec::with_capacity(groups.len());
+    for (peer, recs) in groups {
+        match merged.last_mut() {
+            Some((last, into)) if *last == peer => into.extend(recs),
+            _ => merged.push((peer, recs)),
+        }
+    }
+    for (_, recs) in &mut merged {
+        recs.sort_by_key(|&(task, _)| task);
+        recs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+    }
+    merged
+}
+
+/// The snapshot's record store: cloning is O(1) (the root `Arc`) and
+/// shares every node; an upsert copies the search-path nodes a clone still
+/// shares and writes the rest in place.
 #[derive(Debug, Clone)]
 struct PeerMap<P> {
     root: Link<P>,
+    /// Nodes in the tree — what `known_peers` / `task_records` size their
+    /// output by.
+    peers: usize,
     records: usize,
 }
 
 impl<P> Default for PeerMap<P> {
     fn default() -> Self {
-        PeerMap { root: None, records: 0 }
+        PeerMap { root: None, peers: 0, records: 0 }
     }
 }
 
 impl<P: Copy + Ord> PeerMap<P> {
+    /// The map holding every `(peer, task, record)` triple `seed` visits,
+    /// later visits of one key overwriting earlier ones, built bottom-up
+    /// in O(n) when the stream ascends strictly by `(peer, task)` — which
+    /// the [`TrustBackend`](crate::backend::TrustBackend) iterator
+    /// contract delivers. A stream that does not is sorted and merged into
+    /// that shape first, then built the same way.
+    fn from_seed(seed: impl FnOnce(&mut dyn FnMut(P, TaskId, TrustRecord))) -> Self {
+        let mut groups: Vec<Group<P>> = Vec::new();
+        let mut ascending = true;
+        seed(&mut |peer, task, rec| match groups.last_mut() {
+            Some((last, recs)) if *last == peer => {
+                ascending &= recs.last().is_some_and(|&(t, _)| t < task);
+                recs.push((task, rec));
+            }
+            last => {
+                ascending &= last.is_none_or(|(p, _)| *p < peer);
+                groups.push((peer, vec![(task, rec)]));
+            }
+        });
+        if !ascending {
+            groups = merge_groups(groups);
+        }
+        let peers = groups.len();
+        let records = groups.iter().map(|(_, recs)| recs.len()).sum();
+        PeerMap { root: build(&mut groups.into_iter(), peers), peers, records }
+    }
+
     fn upsert(&mut self, peer: P, task: TaskId, rec: TrustRecord) {
-        let (root, added) = upsert(&self.root, peer, task, rec);
-        self.root = Some(root);
-        self.records += usize::from(added);
+        match upsert(&mut self.root, peer, task, rec) {
+            Upserted::Replaced => {}
+            Upserted::NewRecord => self.records += 1,
+            Upserted::NewPeer { .. } => {
+                self.peers += 1;
+                self.records += 1;
+            }
+        }
     }
 
     fn get(&self, peer: P) -> Option<&Recs> {
@@ -314,14 +416,14 @@ impl<P: Copy + Ord> ReadSnapshot<P> {
 
     /// Peers with at least one record — each exactly once, ascending.
     pub fn known_peers(&self) -> Vec<P> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.map.peers);
         self.map.for_each(&mut |peer, _| out.push(peer));
         out
     }
 
     /// Every `(peer, record)` pair held for `task`, ascending by peer.
     pub fn task_records(&self, task: TaskId) -> Vec<(P, TrustRecord)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.map.peers);
         self.map.for_each(&mut |peer, recs| {
             if let Ok(i) = recs.binary_search_by_key(&task, |&(t, _)| t) {
                 out.push((peer, recs[i].1));
@@ -396,7 +498,7 @@ impl<P: Copy + Ord> ReplicaSlot<P> {
     /// Mutating folds the published snapshot is missing — the lag
     /// [`Freshness::Snapshot`](super::Freshness::Snapshot) bounds.
     pub(crate) fn lag(&self) -> u64 {
-        let snap_folds = self.load().folds;
+        let snap_folds = self.current.lock().unwrap_or_else(|e| e.into_inner()).folds;
         self.folds.load(Ordering::Acquire).saturating_sub(snap_folds)
     }
 
@@ -420,6 +522,16 @@ impl<P: Copy + Ord> ReplicaSlot<P> {
 /// receipt carries the absolute post-fold record, so no engine re-read),
 /// `folded` advances the fold epoch and publishes per
 /// [`ServiceOptions::publish_every`](super::ServiceOptions::publish_every).
+///
+/// Ownership: the working copy may write a tree node in place exactly
+/// while no published snapshot shares it, which the node's `Arc` strong
+/// count says and nothing else tracks (see the tree's comment above).
+/// `publish` clones the root, so the first `apply` after it copies each
+/// node on its path once and every further `apply` before the next
+/// `publish` writes those copies in place: a publication interval costs
+/// one copy per distinct path node it touched, plus freeing the same set
+/// when the snapshot it replaced is dropped — by `publish` itself unless a
+/// reader still holds it.
 #[derive(Debug)]
 pub(crate) struct Publisher<P> {
     slot: Arc<ReplicaSlot<P>>,
@@ -434,15 +546,15 @@ impl<P: Copy + Ord> Publisher<P> {
     /// A publisher over `slot`, seeded with the engine's pre-existing
     /// records (`seed` visits every `(peer, task, record)` triple — the
     /// engine/backend read seam) so a reopened durable engine serves its
-    /// recovered state from epoch 0.
+    /// recovered state from epoch 0. The seed tree is built in one O(n)
+    /// pass, not by n upserts.
     pub(crate) fn new(
         slot: Arc<ReplicaSlot<P>>,
         publish_every: u64,
         seed: impl FnOnce(&mut dyn FnMut(P, TaskId, TrustRecord)),
     ) -> Self {
         let normalizer = slot.load().normalizer;
-        let mut map = PeerMap::default();
-        seed(&mut |peer, task, rec| map.upsert(peer, task, rec));
+        let map = PeerMap::from_seed(seed);
         if map.records > 0 {
             slot.publish(ReadSnapshot { epoch: 0, folds: 0, normalizer, map: map.clone() });
         }
@@ -594,6 +706,8 @@ impl<P: Copy + Ord + Hash> ReplicaHandle<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn rec(interactions: u64) -> TrustRecord {
         TrustRecord { interactions, ..TrustRecord::default() }
@@ -622,26 +736,164 @@ mod tests {
         assert_eq!(map.get(7).unwrap()[0].1.interactions, 9);
     }
 
+    /// Asserts the AVL invariant below `link` and returns its height.
+    fn check_avl<P>(link: &Link<P>) -> u8 {
+        match link {
+            None => 0,
+            Some(n) => {
+                let (hl, hr) = (check_avl(&n.left), check_avl(&n.right));
+                assert!(hl.abs_diff(hr) <= 1, "AVL invariant");
+                assert_eq!(n.height, 1 + hl.max(hr));
+                n.height
+            }
+        }
+    }
+
+    /// Every `((peer, task), record)` entry in iteration order, after
+    /// checking the tree's shape and its two counters.
+    fn entries(map: &PeerMap<u32>) -> Vec<((u32, TaskId), TrustRecord)> {
+        check_avl(&map.root);
+        let (mut peers, mut out) = (0, Vec::new());
+        map.for_each(&mut |peer, recs| {
+            peers += 1;
+            out.extend(recs.iter().map(|&(task, rec)| ((peer, task), rec)));
+        });
+        assert_eq!(map.peers, peers);
+        assert_eq!(map.records, out.len());
+        out
+    }
+
+    /// The nodes on the search path to `peer`, root first, by address —
+    /// an `Arc` clone would itself share the node and force a copy.
+    fn path(map: &PeerMap<u32>, peer: u32) -> Vec<*const Node<u32>> {
+        let (mut cur, mut out) = (&map.root, Vec::new());
+        while let Some(n) = cur {
+            out.push(Arc::as_ptr(n));
+            match peer.cmp(&n.peer) {
+                CmpOrdering::Equal => break,
+                CmpOrdering::Less => cur = &n.left,
+                CmpOrdering::Greater => cur = &n.right,
+            }
+        }
+        out
+    }
+
     #[test]
     fn peer_map_stays_balanced() {
         let mut map: PeerMap<u32> = PeerMap::default();
         for peer in 0..4096u32 {
             map.upsert(peer, TaskId(0), rec(1));
         }
-        fn check<P: Copy>(link: &Link<P>) -> u8 {
-            match link {
-                None => 0,
-                Some(n) => {
-                    let (hl, hr) = (check(&n.left), check(&n.right));
-                    assert!(hl.abs_diff(hr) <= 1, "AVL invariant");
-                    assert_eq!(n.height, 1 + hl.max(hr));
-                    n.height
-                }
-            }
-        }
-        let h = check(&map.root);
+        let h = check_avl(&map.root);
         // 1.44 * log2(4096) ≈ 18
         assert!(h <= 18, "height {h} for 4096 keys");
+    }
+
+    proptest! {
+        /// Random interleavings of upserts and publications against a
+        /// `BTreeMap` model: the working copy tracks the model step by
+        /// step, and every published clone still equals the model as of
+        /// its own publication after all later upserts.
+        #[test]
+        fn cow_map_matches_a_btreemap_model(
+            steps in prop::collection::vec((0u8..6, 0u32..40, 0u32..3, 0u64..1000), 1..300),
+        ) {
+            let mut map: PeerMap<u32> = PeerMap::default();
+            let mut model: BTreeMap<(u32, TaskId), TrustRecord> = BTreeMap::new();
+            let mut published = Vec::new();
+            for (op, peer, task, interactions) in steps {
+                if op == 0 {
+                    published.push((map.clone(), model.clone()));
+                } else {
+                    map.upsert(peer, TaskId(task), rec(interactions));
+                    model.insert((peer, TaskId(task)), rec(interactions));
+                }
+                prop_assert_eq!(entries(&map), model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>());
+            }
+            for (snapshot, as_of) in published {
+                prop_assert_eq!(entries(&snapshot), as_of.into_iter().collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn owned_path_is_written_in_place_until_the_next_publication() {
+        let mut map: PeerMap<u32> = PeerMap::default();
+        for peer in 0..1024u32 {
+            map.upsert(peer, TaskId(0), rec(1));
+        }
+        let published = map.clone();
+        let before = (path(&published, 700), entries(&published));
+
+        map.upsert(700, TaskId(0), rec(2));
+        let first = path(&map, 700);
+        assert_eq!(first.len(), before.0.len());
+        for (copied, shared) in first.iter().zip(&before.0) {
+            assert_ne!(copied, shared, "a node the snapshot shares is copied, not written");
+        }
+
+        map.upsert(700, TaskId(0), rec(3));
+        assert_eq!(path(&map, 700), first, "an owned path is written in place, root included");
+        assert_eq!(map.get(700).unwrap()[0].1.interactions, 3);
+
+        // the snapshot's path nodes are where and what they were
+        assert_eq!(path(&published, 700), before.0);
+        assert_eq!(entries(&published), before.1);
+
+        // publishing again shares the root: the next upsert copies anew
+        let republished = map.clone();
+        map.upsert(700, TaskId(0), rec(4));
+        assert_ne!(path(&map, 700)[0], first[0]);
+        assert_eq!(republished.get(700).unwrap()[0].1.interactions, 3);
+    }
+
+    #[test]
+    fn bulk_seed_builds_the_map_sequential_upserts_would() {
+        // ascending seeds of every small size: the O(n) build is balanced
+        for n in 0..130u32 {
+            let bulk = PeerMap::from_seed(|sink| {
+                for peer in 0..n {
+                    sink(peer, TaskId(0), rec(1));
+                    sink(peer, TaskId(2), rec(2));
+                }
+            });
+            assert_eq!(bulk.peers, n as usize);
+            assert_eq!(entries(&bulk).len(), 2 * n as usize);
+        }
+
+        // an unsorted seed that repeats keys: peers descending, tasks
+        // descending within a peer, and a second pass overwriting half
+        let mut seed = Vec::new();
+        for peer in (0..200u32).rev() {
+            for task in (0..3u32).rev() {
+                seed.push((peer * 7 % 200, TaskId(task), rec(u64::from(peer))));
+            }
+        }
+        for peer in (0..200u32).step_by(2) {
+            seed.push((peer, TaskId(1), rec(9_000 + u64::from(peer))));
+        }
+        let mut sequential: PeerMap<u32> = PeerMap::default();
+        for &(peer, task, rec) in &seed {
+            sequential.upsert(peer, task, rec);
+        }
+
+        let slot: Arc<ReplicaSlot<u32>> = ReplicaSlot::new(Normalizer::UNIT);
+        let mut publisher = Publisher::new(Arc::clone(&slot), 1, |sink| {
+            for &(peer, task, rec) in &seed {
+                sink(peer, task, rec);
+            }
+        });
+        let seeded = slot.load();
+        assert_eq!(seeded.epoch(), 0);
+        assert_eq!(entries(&seeded.map), entries(&sequential));
+        assert_eq!(seeded.known_peers(), (0..200u32).collect::<Vec<_>>());
+
+        // bulk-built nodes take in-place writes like any others, and the
+        // seeded snapshot does not see them
+        publisher.map.upsert(3, TaskId(1), rec(1));
+        sequential.upsert(3, TaskId(1), rec(1));
+        assert_eq!(entries(&publisher.map), entries(&sequential));
+        assert_ne!(entries(&seeded.map), entries(&sequential));
     }
 
     #[test]

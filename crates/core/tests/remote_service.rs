@@ -328,7 +328,7 @@ fn remote_queries_match_local_and_cuts_are_epoch_stamped() {
     service.shutdown().expect("clean shutdown");
 }
 
-const BANNER: [u8; 8] = [b'S', b'I', b'O', b'T', b'W', 2, 0, 0];
+const BANNER: [u8; 8] = [b'S', b'I', b'O', b'T', b'W', 3, 0, 0];
 
 /// Frames `payload` the way the wire protocol does.
 fn frame(payload: &[u8]) -> Vec<u8> {

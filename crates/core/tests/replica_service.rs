@@ -1,9 +1,11 @@
 //! Integration tests for the epoch-snapshotted read-replica tier
 //! (`service::replica` + `Freshness::Snapshot`): snapshot reads taken at
 //! an aligned cut are bit-identical to fresh mailbox reads (BTree,
-//! LogBackend, and over the wire), the staleness bound is honored with
-//! deterministic fall-through to the mailbox, readers never observe a
-//! torn publication under concurrent write load, `QueryMany` batches
+//! LogBackend — also after a restart seeds the snapshot in bulk — and
+//! over the wire), the staleness bound is honored with deterministic
+//! fall-through to the mailbox, readers never observe a torn publication
+//! under concurrent write load, a held snapshot never changes under later
+//! drains, `QueryMany` batches
 //! answer item-for-item like single reads, and read-only broadcasts on a
 //! fresh service never force a publication.
 
@@ -156,18 +158,38 @@ proptest! {
 
     /// Same pin over the durable `LogBackend` — the snapshot is fed from
     /// receipts, so the journal's append buffer must not skew what the
-    /// replica publishes.
+    /// replica publishes — and across a restart: the epoch-0 snapshot a
+    /// re-spawn bulk-builds from the recovered engines equals fresh reads
+    /// before any new commit, and keeps doing so once a second stream has
+    /// rewritten and extended the bulk-built nodes.
     #[test]
-    fn snapshot_reads_match_fresh_durable(streams in streams()) {
+    fn snapshot_reads_match_fresh_durable(more in streams(), streams in streams()) {
         let root = tmpdir("replica-service-durable");
-        let shards = 2usize;
-        let service = ShardedTrustService::spawn_sharded(
-            shards,
+        let spawn = || ShardedTrustService::spawn_sharded(
+            2,
             ServiceOptions { mailbox: 8, ..ServiceOptions::default() },
             |shard| TrustEngine::open_shard(&root, shard).expect("shard dir opens"),
         );
+        let service = spawn();
         let handle = service.handle();
         commit_all(&handle, &streams);
+        snapshot_matches_fresh(&handle)?;
+        let stored: Vec<usize> = service
+            .shutdown()
+            .expect("clean shutdown")
+            .iter()
+            .map(|engine| engine.record_count())
+            .collect();
+
+        let service = spawn();
+        let handle = service.handle();
+        for (snap, &records) in handle.replica().snapshots().iter().zip(&stored) {
+            prop_assert_eq!(snap.epoch(), 0, "seeded, not published by a drain");
+            prop_assert_eq!(snap.record_count(), records);
+            prop_assert!(snap.known_peers().windows(2).all(|pair| pair[0] < pair[1]));
+        }
+        snapshot_matches_fresh(&handle)?;
+        commit_all(&handle, &more);
         snapshot_matches_fresh(&handle)?;
         service.shutdown().expect("clean shutdown");
         std::fs::remove_dir_all(&root).expect("scratch removable");
@@ -374,6 +396,55 @@ fn readers_never_observe_a_torn_snapshot() {
     for &p in &peers {
         assert_eq!(snap.record(p, TaskId(0)).expect("present").interactions, commits_per_peer);
     }
+    service.shutdown().expect("clean shutdown");
+}
+
+/// In-place mutation must never reach a snapshot a reader still holds:
+/// a held `Arc<ReadSnapshot>` reports its original epoch, record count
+/// and record bits after later drains rewrote the same peers (the nodes
+/// it shares with the working copy) and inserted new ones (rotations
+/// through them).
+#[test]
+fn held_snapshot_is_immutable_across_later_drains() {
+    let service = TrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
+    let handle = service.handle();
+    let peers: Vec<u32> = (0..64).map(|i| i * 10).collect();
+    block_on(handle.submit_batch(peers.iter().map(|&p| completed_for(p)).collect()))
+        .expect("first drain");
+
+    let held = handle.read_snapshot();
+    let (epoch, count) = (held.epoch(), held.record_count());
+    let bits_of = |snap: &ReadSnapshot<u32>| -> Vec<_> {
+        snap.task_records(TaskId(0)).into_iter().map(|(p, r)| (p, record_bits(Some(r)))).collect()
+    };
+    let original = bits_of(&held);
+    assert_eq!(count, peers.len());
+    assert_eq!(original.len(), peers.len());
+
+    for drain in 0..12u32 {
+        // every awaited batch is at least one mutating drain: rewrite the
+        // held peers twice (the second write lands on owned nodes) and
+        // insert fresh peers at keys between theirs
+        let batch = peers
+            .iter()
+            .chain(&peers)
+            .copied()
+            .chain((0..16).map(|i| 1 + drain * 16 + i * 10))
+            .map(completed_for)
+            .collect();
+        block_on(handle.submit_batch(batch)).expect("later drain");
+    }
+
+    assert_eq!(held.epoch(), epoch);
+    assert_eq!(held.record_count(), count);
+    assert_eq!(bits_of(&held), original);
+    assert_eq!(held.known_peers(), peers);
+
+    let live = handle.read_snapshot();
+    assert!(live.epoch() > epoch);
+    assert!(live.record_count() > count);
+    assert_eq!(live.record(0, TaskId(0)).expect("rewritten").interactions, 25);
+    assert_eq!(held.record(0, TaskId(0)).expect("held").interactions, 1);
     service.shutdown().expect("clean shutdown");
 }
 
