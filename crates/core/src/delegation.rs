@@ -142,10 +142,11 @@ pub struct DelegationRequest<P> {
 
 impl<P: Copy + Ord> DelegationRequest<P> {
     /// A request built without an engine in hand — the entry point for
-    /// callers that talk to a [`TrustService`](crate::service::TrustService)
-    /// handle instead of owning a `TrustEngine` (the handle's
-    /// [`evaluate`](crate::service::TrustServiceHandle::evaluate) runs the
-    /// evaluation inside the actor). Engine-owning callers keep using
+    /// callers that talk to a trust service through a
+    /// [`TrustApi`](crate::service::TrustApi) handle instead of owning a
+    /// `TrustEngine` (the handle's
+    /// [`evaluate`](crate::service::TrustApi::evaluate) runs the
+    /// evaluation inside the service). Engine-owning callers keep using
     /// [`TrustEngine::delegate`], which is this plus the engine as the
     /// implied trustor.
     pub fn new(trustee: P, task: &Task, goal: Goal, context: Context) -> Self {

@@ -120,8 +120,8 @@ pub mod prelude {
     pub use crate::service::{
         Cut, DedupWindow, Fault, FaultPlan, FaultProxy, FleetCut, FleetOptions, FleetTrustHandle,
         Freshness, NodeStats, ReadSnapshot, RemoteTrustServer, RemoteTrustServiceHandle,
-        ReplicaHandle, ServiceEndpoint, ServiceOptions, ShardStats, ShardedTrustService,
-        ShardedTrustServiceHandle, TrustService, TrustServiceHandle,
+        ReplicaHandle, ServiceOptions, ShardStats, ShardedTrustService, ShardedTrustServiceHandle,
+        TrustApi, TrustService, TrustServiceHandle,
     };
     pub use crate::store::{DurableTrustStore, TrustEngine, TrustStore};
     pub use crate::task::{CharacteristicId, Task, TaskId};

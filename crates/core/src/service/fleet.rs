@@ -78,7 +78,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::delegation::{
-    CompletedDelegation, Decision, DelegationOutcome, DelegationReceipt, DelegationRequest,
+    CompletedDelegation, DelegationOutcome, DelegationReceipt, DelegationRequest,
     EvaluatedDelegation,
 };
 use crate::error::TrustError;
@@ -86,7 +86,7 @@ use crate::log_backend::LogKey;
 use crate::record::TrustRecord;
 use crate::service::remote::{wire, RemotePending, RemoteTrustServiceHandle, BATCH_CHUNK};
 use crate::service::sharded::{shard_index, Freshness};
-use crate::service::ShardStats;
+use crate::service::{ShardStats, TrustApi};
 use crate::task::{Task, TaskId};
 use crate::tw::Trustworthiness;
 
@@ -298,8 +298,6 @@ impl<P> std::fmt::Debug for NodeSlot<P> {
     }
 }
 
-type BoxFut<T> = Pin<Box<dyn Future<Output = Result<T, TrustError>> + Send>>;
-
 /// A chunk's eager first attempt: the in-flight receipts plus the
 /// connection that carries them (`None` when the node had no live
 /// connection at submit time).
@@ -458,7 +456,7 @@ impl<P: LogKey + Hash + Send + 'static> FleetTrustHandle<P> {
         &self,
         stamped: &StampedBatch<P>,
     ) -> impl Future<Output = Result<Vec<DelegationReceipt<P>>, TrustError>> {
-        let deadline = Instant::now() + self.options.request_deadline;
+        let deadline = self.deadline();
         // eager first attempts: frames hit the wire before first poll
         let eager: Vec<EagerAttempt<P>> = stamped
             .parts
@@ -475,7 +473,13 @@ impl<P: LogKey + Hash + Send + 'static> FleetTrustHandle<P> {
             let mut receipts: Vec<Option<DelegationReceipt<P>>> =
                 (0..total).map(|_| None).collect();
             for (part, eager) in parts.iter().zip(eager) {
-                let got = this.drive_part(part, eager, deadline).await?;
+                // commits wait through backoff: the same tag is safe to
+                // resend until the deadline
+                let got = this
+                    .attempt(part.node, deadline, true, eager, |conn| {
+                        conn.send_tail(&part.tail, wire::decode_receipts::<P>)
+                    })
+                    .await?;
                 for (&pos, receipt) in part.positions.iter().zip(got) {
                     receipts[pos] = Some(receipt);
                 }
@@ -495,270 +499,43 @@ impl<P: LogKey + Hash + Send + 'static> FleetTrustHandle<P> {
         self.submit_prepared(&stamped)
     }
 
-    /// Commits one finished session through the tagged path.
-    pub fn submit(
-        &self,
-        completed: CompletedDelegation<P>,
-    ) -> impl Future<Output = Result<DelegationReceipt<P>, TrustError>> {
-        let fut = self.submit_batch(vec![completed]);
-        async move { Ok(fut.await?.pop().expect("one receipt per session")) }
-    }
-
-    /// Drives one tagged chunk to receipts: eager attempt first, then
-    /// reconnect-and-resend (same tag) until success, a final error, or
-    /// the deadline.
-    async fn drive_part(
-        &self,
-        part: &TaggedPart<P>,
-        eager: EagerAttempt<P>,
-        deadline: Instant,
-    ) -> Result<Vec<DelegationReceipt<P>>, TrustError> {
-        if let Some((pending, conn)) = eager {
-            match with_deadline(pending, deadline).await {
-                Err(ref e) if transport_failure(e, &conn) => {}
-                Err(TrustError::TimedOut) => {
-                    self.quarantine(part.node);
-                    return Err(TrustError::TimedOut);
-                }
-                other => return other,
-            }
-        }
-        loop {
-            let conn = self.conn_ready(part.node, deadline, true).await?;
-            let pending = conn.send_tail(&part.tail, wire::decode_receipts::<P>);
-            match with_deadline(pending, deadline).await {
-                Err(ref e) if transport_failure(e, &conn) => continue,
-                Err(TrustError::TimedOut) => {
-                    self.quarantine(part.node);
-                    return Err(TrustError::TimedOut);
-                }
-                other => return other,
-            }
-        }
-    }
-
-    // ---- routed reads and sessions ------------------------------------
-
-    /// Runs the §3.3 evaluation on the trustee's home node.
-    pub fn evaluate(
-        &self,
-        request: DelegationRequest<P>,
-    ) -> impl Future<Output = Result<EvaluatedDelegation<P>, TrustError>> {
-        let node = shard_index(&request.trustee(), self.nodes.len());
-        let this = self.clone();
-        async move {
-            this.read_op(node, move |conn| {
-                let request = request.clone();
-                Box::pin(async move { conn.evaluate(request).await })
-            })
-            .await
-        }
-    }
-
-    /// [`evaluate`](Self::evaluate) carried through to the §3.4 decision.
-    pub fn delegate(
-        &self,
-        request: DelegationRequest<P>,
-    ) -> impl Future<Output = Result<Decision<P>, TrustError>> {
-        let fut = self.evaluate(request);
-        async move { Ok(fut.await?.into_decision()) }
-    }
-
-    /// The whole session in one round trip on the trustee's home node.
-    /// **Not retried** on transport death (it folds server-side without
-    /// an idempotency tag): an ambiguous failure surfaces as
-    /// [`TrustError::NodeUnavailable`]. Prefer
-    /// [`evaluate`](Self::evaluate) + [`submit`](Self::submit) when
-    /// exactness across failures matters.
-    pub fn complete(
-        &self,
-        request: DelegationRequest<P>,
-        outcome: DelegationOutcome,
-    ) -> impl Future<Output = Result<DelegationReceipt<P>, TrustError>> {
-        let node = shard_index(&request.trustee(), self.nodes.len());
-        let this = self.clone();
-        async move {
-            let deadline = Instant::now() + this.options.request_deadline;
-            let conn = this.conn_ready(node, deadline, false).await?;
-            match with_deadline(Box::pin(conn.complete(request, outcome)), deadline).await {
-                Err(ref e) if transport_failure(e, &conn) => {
-                    Err(TrustError::NodeUnavailable { addr: this.node_addr(node) })
-                }
-                Err(TrustError::TimedOut) => {
-                    this.quarantine(node);
-                    Err(TrustError::TimedOut)
-                }
-                other => other,
-            }
-        }
-    }
-
-    /// Eq. 18 trustworthiness toward `(peer, task)`, from `peer`'s home
-    /// node ([`Freshness::Relaxed`]).
-    pub fn trustworthiness(
-        &self,
-        peer: P,
-        task: TaskId,
-    ) -> impl Future<Output = Result<Option<Trustworthiness>, TrustError>> {
-        self.trustworthiness_with(peer, task, Freshness::Relaxed)
-    }
-
-    /// [`trustworthiness`](Self::trustworthiness) at an explicit
-    /// freshness. Under [`Freshness::Snapshot`] the home node answers off
-    /// its published replica snapshot without touching the write path —
-    /// the read stays fast even when the node's mailboxes are saturated
-    /// with commits.
-    pub fn trustworthiness_with(
-        &self,
-        peer: P,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> impl Future<Output = Result<Option<Trustworthiness>, TrustError>> {
-        let node = self.node_of(peer);
-        let this = self.clone();
-        async move {
-            this.read_op(node, move |conn| {
-                Box::pin(async move { conn.trustworthiness_with(peer, task, freshness).await })
-            })
-            .await
-        }
-    }
-
-    /// The record for `(peer, task)`, from `peer`'s home node
-    /// ([`Freshness::Relaxed`]).
-    pub fn record(
-        &self,
-        peer: P,
-        task: TaskId,
-    ) -> impl Future<Output = Result<Option<TrustRecord>, TrustError>> {
-        self.record_with(peer, task, Freshness::Relaxed)
-    }
-
-    /// [`record`](Self::record) at an explicit freshness.
-    pub fn record_with(
-        &self,
-        peer: P,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> impl Future<Output = Result<Option<TrustRecord>, TrustError>> {
-        let node = self.node_of(peer);
-        let this = self.clone();
-        async move {
-            this.read_op(node, move |conn| {
-                Box::pin(async move { conn.record_with(peer, task, freshness).await })
-            })
-            .await
-        }
-    }
-
-    /// One routed read with the read-path retry policy: if the transport
-    /// died, one immediate reconnect is attempted; a node in backoff
-    /// fails fast with [`TrustError::NodeUnavailable`].
-    async fn read_op<T>(
+    /// One routed read on `node` with the read-path policy: one immediate
+    /// reconnect if the transport died, a fast
+    /// [`TrustError::NodeUnavailable`] if the node is in backoff.
+    fn read<T, F>(
         &self,
         node: usize,
-        op: impl Fn(RemoteTrustServiceHandle<P>) -> BoxFut<T>,
-    ) -> Result<T, TrustError> {
-        let deadline = Instant::now() + self.options.request_deadline;
-        loop {
-            let conn = self.conn_ready(node, deadline, false).await?;
-            match with_deadline(op(conn.clone()), deadline).await {
-                Err(ref e) if transport_failure(e, &conn) => continue,
-                Err(TrustError::TimedOut) => {
-                    self.quarantine(node);
-                    return Err(TrustError::TimedOut);
-                }
-                other => return other,
-            }
-        }
+        op: impl Fn(RemoteTrustServiceHandle<P>) -> F + Send + 'static,
+    ) -> impl Future<Output = Result<T, TrustError>> + Send + 'static
+    where
+        F: Future<Output = Result<T, TrustError>> + Send,
+        T: Send,
+    {
+        let this = self.clone();
+        async move { this.attempt(node, this.deadline(), false, None, op).await }
     }
 
     // ---- broadcasts ----------------------------------------------------
 
-    /// Registers `task` on **every** node (idempotent — retried through
-    /// reconnects like a commit). Fails with the first node error after
-    /// attempting all nodes, so live nodes are registered even when one
-    /// is down.
-    pub fn register_task(&self, task: Task) -> impl Future<Output = Result<(), TrustError>> {
-        let this = self.clone();
-        async move {
-            this.broadcast_retry(move |conn| {
-                let task = task.clone();
-                Box::pin(async move { conn.register_task(task).await })
-            })
-            .await
-        }
-    }
-
-    /// Flushes every node's served engines to stable storage (idempotent,
-    /// retried like a commit).
-    pub fn flush(&self) -> impl Future<Output = Result<(), TrustError>> {
-        let this = self.clone();
-        async move { this.broadcast_retry(|conn| Box::pin(async move { conn.flush().await })).await }
-    }
-
-    /// Stops the trust service on every reachable node. A node that
-    /// cannot be reached keeps its error ([`TrustError::NodeUnavailable`])
-    /// — the caller decides whether an unreachable node still counts as
-    /// stopped. The remaining nodes are stopped regardless.
-    pub fn shutdown(&self) -> impl Future<Output = Result<(), TrustError>> {
-        let this = self.clone();
-        async move {
-            let deadline = Instant::now() + this.options.request_deadline;
-            let mut first_err = None;
-            for node in 0..this.nodes.len() {
-                let result = match this.conn_ready(node, deadline, false).await {
-                    Ok(conn) => with_deadline(Box::pin(conn.shutdown()), deadline).await,
-                    Err(e) => Err(e),
-                };
-                if let Err(e) = result {
-                    first_err.get_or_insert(e);
-                }
-            }
-            match first_err {
-                None => Ok(()),
-                Some(e) => Err(e),
-            }
-        }
-    }
-
-    async fn broadcast_retry(
+    /// Runs `op` on every node with the commit retry policy (reconnects
+    /// waiting through backoff, until the deadline). Fails with the first
+    /// node error after attempting all nodes, so live nodes are served even
+    /// when one is down.
+    async fn broadcast_retry<F>(
         &self,
-        op: impl Fn(RemoteTrustServiceHandle<P>) -> BoxFut<()>,
-    ) -> Result<(), TrustError> {
-        let deadline = Instant::now() + self.options.request_deadline;
+        op: impl Fn(RemoteTrustServiceHandle<P>) -> F,
+    ) -> Result<(), TrustError>
+    where
+        F: Future<Output = Result<(), TrustError>>,
+    {
+        let deadline = self.deadline();
         let mut first_err = None;
         for node in 0..self.nodes.len() {
-            let result = loop {
-                match self.conn_ready(node, deadline, true).await {
-                    Ok(conn) => match with_deadline(op(conn.clone()), deadline).await {
-                        Err(ref e) if transport_failure(e, &conn) => continue,
-                        Err(TrustError::TimedOut) => {
-                            self.quarantine(node);
-                            break Err(TrustError::TimedOut);
-                        }
-                        other => break other,
-                    },
-                    Err(e) => break Err(e),
-                }
-            };
-            if let Err(e) = result {
+            if let Err(e) = self.attempt(node, deadline, true, None, &op).await {
                 first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Peers with at least one record anywhere in the fleet, ascending,
-    /// merged from every **live** node ([`Freshness::Relaxed`]; down
-    /// nodes' key ranges are simply absent — take
-    /// [`known_peers_cut`](Self::known_peers_cut) to see which).
-    pub fn known_peers(&self) -> impl Future<Output = Result<Vec<P>, TrustError>> {
-        let fut = self.known_peers_cut(Freshness::Relaxed);
-        async move { Ok(fut.await?.value) }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// The fleet-wide peer list as a [`FleetCut`]: merged live values,
@@ -775,11 +552,9 @@ impl<P: LogKey + Hash + Send + 'static> FleetTrustHandle<P> {
         async move {
             let cut = this
                 .fleet_cut(
-                    move |conn| {
-                        Box::pin(async move {
-                            let cut = conn.known_peers_cut(freshness).await?;
-                            Ok((cut.epochs, cut.value))
-                        })
+                    move |conn| async move {
+                        let cut = conn.known_peers_cut(freshness).await?;
+                        Ok((cut.epochs, cut.value))
                     },
                     |fleet, node, epochs, peers: &Vec<P>| {
                         let mut slot = fleet.nodes[node].lock().expect("fleet node slot");
@@ -804,16 +579,6 @@ impl<P: LogKey + Hash + Send + 'static> FleetTrustHandle<P> {
         }
     }
 
-    /// Every `(peer, record)` pair held for `task`, ascending by peer,
-    /// merged from every live node.
-    pub fn task_records(
-        &self,
-        task: TaskId,
-    ) -> impl Future<Output = Result<Vec<(P, TrustRecord)>, TrustError>> {
-        let fut = self.task_records_cut(task, Freshness::Relaxed);
-        async move { Ok(fut.await?.value) }
-    }
-
     /// The fleet-wide record table for `task` as a [`FleetCut`]. Under
     /// [`Freshness::Snapshot`], unreachable nodes fall back to the stale
     /// cache like [`known_peers_cut`](Self::known_peers_cut).
@@ -827,11 +592,9 @@ impl<P: LogKey + Hash + Send + 'static> FleetTrustHandle<P> {
         async move {
             let cut = this
                 .fleet_cut(
-                    move |conn| {
-                        Box::pin(async move {
-                            let cut = conn.task_records_cut(task, freshness).await?;
-                            Ok((cut.epochs, cut.value))
-                        })
+                    move |conn| async move {
+                        let cut = conn.task_records_cut(task, freshness).await?;
+                        Ok((cut.epochs, cut.value))
                     },
                     |fleet, node, epochs, records: &Vec<(P, TrustRecord)>| {
                         let mut slot = fleet.nodes[node].lock().expect("fleet node slot");
@@ -867,34 +630,24 @@ impl<P: LogKey + Hash + Send + 'static> FleetTrustHandle<P> {
     /// Relaxed/Aligned cuts pass a no-op `recall`, so only
     /// [`Freshness::Snapshot`] — the mode whose contract already admits
     /// bounded staleness — ever answers from the cache.
-    async fn fleet_cut<T>(
+    async fn fleet_cut<T, F>(
         &self,
-        op: impl Fn(RemoteTrustServiceHandle<P>) -> BoxFut<(Vec<u64>, T)>,
+        op: impl Fn(RemoteTrustServiceHandle<P>) -> F,
         remember: impl Fn(&self::FleetTrustHandle<P>, usize, &[u64], &T),
         recall: impl Fn(&self::FleetTrustHandle<P>, usize) -> Option<(Vec<u64>, T)>,
-    ) -> Result<FleetCut<Vec<T>>, TrustError> {
+    ) -> Result<FleetCut<Vec<T>>, TrustError>
+    where
+        F: Future<Output = Result<(Vec<u64>, T), TrustError>>,
+    {
         let n = self.nodes.len();
-        let deadline = Instant::now() + self.options.request_deadline;
+        let deadline = self.deadline();
         let mut epochs = vec![Vec::new(); n];
         let mut value = Vec::new();
         let mut missing = Vec::new();
         let mut stale = Vec::new();
         let mut first_err = None;
         for (node, epoch_slot) in epochs.iter_mut().enumerate() {
-            let result = loop {
-                match self.conn_ready(node, deadline, false).await {
-                    Ok(conn) => match with_deadline(op(conn.clone()), deadline).await {
-                        Err(ref e) if transport_failure(e, &conn) => continue,
-                        Err(TrustError::TimedOut) => {
-                            self.quarantine(node);
-                            break Err(TrustError::TimedOut);
-                        }
-                        other => break other,
-                    },
-                    Err(e) => break Err(e),
-                }
-            };
-            match result {
+            match self.attempt(node, deadline, false, None, &op).await {
                 Ok((node_epochs, node_value)) => {
                     remember(self, node, &node_epochs, &node_value);
                     *epoch_slot = node_epochs;
@@ -922,23 +675,61 @@ impl<P: LogKey + Hash + Send + 'static> FleetTrustHandle<P> {
     /// Health and saturation per node: reachable nodes report their
     /// served [`ShardStats`], unreachable ones report `None`. Never fails
     /// — an all-dead fleet is a list of unreachable nodes, which is the
-    /// answer.
+    /// answer. [`TrustApi::shard_stats`] is the strict form.
     pub fn node_stats(&self) -> impl Future<Output = Result<Vec<NodeStats>, TrustError>> {
         let this = self.clone();
         async move {
             let mut out = Vec::with_capacity(this.nodes.len());
             for node in 0..this.nodes.len() {
-                let stats = this
-                    .read_op(node, |conn| Box::pin(async move { conn.shard_stats().await }))
-                    .await
-                    .ok();
-                out.push(NodeStats { addr: this.node_addr(node), shards: stats });
+                let stats = this.read(node, |conn| async move { conn.shard_stats().await }).await;
+                out.push(NodeStats { addr: this.node_addr(node), shards: stats.ok() });
             }
             Ok(out)
         }
     }
 
     // ---- connection management -----------------------------------------
+
+    /// The absolute deadline of an operation starting now.
+    fn deadline(&self) -> Instant {
+        Instant::now() + self.options.request_deadline
+    }
+
+    /// One operation against `node` under the shared attempt policy: a
+    /// connection from [`conn_ready`](Self::conn_ready) (`wait` as there),
+    /// `op` raced against `deadline`, a fresh connection and a resend
+    /// whenever the transport died under it, and the connection
+    /// quarantined on a deadline miss. `sent` is an attempt already in
+    /// flight on a known connection, awaited before any new one.
+    async fn attempt<T, F>(
+        &self,
+        node: usize,
+        deadline: Instant,
+        wait: bool,
+        mut sent: Option<(F, RemoteTrustServiceHandle<P>)>,
+        op: impl Fn(RemoteTrustServiceHandle<P>) -> F,
+    ) -> Result<T, TrustError>
+    where
+        F: Future<Output = Result<T, TrustError>>,
+    {
+        loop {
+            let (pending, conn) = match sent.take() {
+                Some(in_flight) => in_flight,
+                None => {
+                    let conn = self.conn_ready(node, deadline, wait).await?;
+                    (op(conn.clone()), conn)
+                }
+            };
+            match with_deadline(pending, deadline).await {
+                Err(ref e) if transport_failure(e, &conn) => continue,
+                Err(TrustError::TimedOut) => {
+                    self.quarantine(node);
+                    return Err(TrustError::TimedOut);
+                }
+                other => return other,
+            }
+        }
+    }
 
     /// A live connection to `node` right now, or `None` — never blocks,
     /// never connects. Dead connections are cleared (clearing opens the
@@ -1060,6 +851,171 @@ impl<P: LogKey + Hash + Send + 'static> FleetTrustHandle<P> {
     }
 }
 
+/// Peer-targeted operations run on the trustee's home node, broadcasts on
+/// every node, each under the retry policy of the [module docs](self)'
+/// table. Fleet-wide reads merge the live nodes — a down node's key range
+/// is absent, not an error; take
+/// [`known_peers_cut`](FleetTrustHandle::known_peers_cut) /
+/// [`task_records_cut`](FleetTrustHandle::task_records_cut) to see which.
+impl<P: LogKey + Hash + Send + 'static> TrustApi<P> for FleetTrustHandle<P> {
+    /// Commits through the tagged path: exactly-once across retries.
+    fn submit(
+        &self,
+        completed: CompletedDelegation<P>,
+    ) -> impl Future<Output = Result<DelegationReceipt<P>, TrustError>> + Send + 'static {
+        let receipts = self.submit_batch(vec![completed]);
+        async move { Ok(receipts.await?.pop().expect("one receipt per session")) }
+    }
+
+    fn submit_batch(
+        &self,
+        batch: Vec<CompletedDelegation<P>>,
+    ) -> impl Future<Output = Result<Vec<DelegationReceipt<P>>, TrustError>> + Send + 'static {
+        FleetTrustHandle::submit_batch(self, batch)
+    }
+
+    fn evaluate(
+        &self,
+        request: DelegationRequest<P>,
+    ) -> impl Future<Output = Result<EvaluatedDelegation<P>, TrustError>> + Send + 'static {
+        self.read(self.node_of(request.trustee()), move |conn| {
+            let request = request.clone();
+            async move { conn.evaluate(request).await }
+        })
+    }
+
+    /// **Not retried** on transport death (it folds server-side without
+    /// an idempotency tag): an ambiguous failure surfaces as
+    /// [`TrustError::NodeUnavailable`]. Prefer
+    /// [`evaluate`](TrustApi::evaluate) + [`submit`](TrustApi::submit) when
+    /// exactness across failures matters.
+    fn complete(
+        &self,
+        request: DelegationRequest<P>,
+        outcome: DelegationOutcome,
+    ) -> impl Future<Output = Result<DelegationReceipt<P>, TrustError>> + Send + 'static {
+        let node = self.node_of(request.trustee());
+        let this = self.clone();
+        async move {
+            let deadline = this.deadline();
+            let conn = this.conn_ready(node, deadline, false).await?;
+            match with_deadline(conn.complete(request, outcome), deadline).await {
+                Err(ref e) if transport_failure(e, &conn) => {
+                    Err(TrustError::NodeUnavailable { addr: this.node_addr(node) })
+                }
+                Err(TrustError::TimedOut) => {
+                    this.quarantine(node);
+                    Err(TrustError::TimedOut)
+                }
+                other => other,
+            }
+        }
+    }
+
+    /// Registered on every node, retried through reconnects like a commit
+    /// (idempotent); live nodes are registered even when one is down.
+    fn register_task(
+        &self,
+        task: Task,
+    ) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        let this = self.clone();
+        async move {
+            this.broadcast_retry(move |conn| {
+                let task = task.clone();
+                async move { conn.register_task(task).await }
+            })
+            .await
+        }
+    }
+
+    /// Under [`Freshness::Snapshot`] the home node answers off its
+    /// published replica snapshot without touching the write path.
+    fn record_with(
+        &self,
+        peer: P,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Option<TrustRecord>, TrustError>> + Send + 'static {
+        self.read(self.node_of(peer), move |conn| async move {
+            conn.record_with(peer, task, freshness).await
+        })
+    }
+
+    fn trustworthiness_with(
+        &self,
+        peer: P,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Option<Trustworthiness>, TrustError>> + Send + 'static {
+        self.read(self.node_of(peer), move |conn| async move {
+            conn.trustworthiness_with(peer, task, freshness).await
+        })
+    }
+
+    fn known_peers_with(
+        &self,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Vec<P>, TrustError>> + Send + 'static {
+        let cut = self.known_peers_cut(freshness);
+        async move { Ok(cut.await?.value) }
+    }
+
+    fn task_records_with(
+        &self,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Vec<(P, TrustRecord)>, TrustError>> + Send + 'static {
+        let cut = self.task_records_cut(task, freshness);
+        async move { Ok(cut.await?.value) }
+    }
+
+    /// Every node's shards, in node order; the first unreachable node
+    /// fails the call ([`node_stats`](FleetTrustHandle::node_stats)
+    /// reports per node instead).
+    fn shard_stats(
+        &self,
+    ) -> impl Future<Output = Result<Vec<ShardStats>, TrustError>> + Send + 'static {
+        let this = self.clone();
+        async move {
+            let mut shards = Vec::new();
+            for node in 0..this.nodes.len() {
+                shards
+                    .extend(this.read(node, |conn| async move { conn.shard_stats().await }).await?);
+            }
+            Ok(shards)
+        }
+    }
+
+    /// Flushed on every node, retried like a commit (idempotent).
+    fn flush(&self) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        let this = self.clone();
+        async move { this.broadcast_retry(|conn| async move { conn.flush().await }).await }
+    }
+
+    /// Stops the service on every reachable node, without retries. A node
+    /// that cannot be reached keeps its error
+    /// ([`TrustError::NodeUnavailable`]) — the caller decides whether an
+    /// unreachable node still counts as stopped. The remaining nodes are
+    /// stopped regardless.
+    fn shutdown(&self) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        let this = self.clone();
+        async move {
+            let deadline = this.deadline();
+            let mut first_err = None;
+            for node in 0..this.nodes.len() {
+                let result = match this.conn_ready(node, deadline, false).await {
+                    Ok(conn) => with_deadline(conn.shutdown(), deadline).await,
+                    Err(e) => Err(e),
+                };
+                if let Err(e) = result {
+                    first_err.get_or_insert(e);
+                }
+            }
+            first_err.map_or(Ok(()), Err)
+        }
+    }
+}
+
 /// Whether `e` means "the connection is gone" (retry on a fresh one)
 /// rather than "the service answered with an error" (final). The closed
 /// transport flag is what disambiguates a dead socket's synthesized
@@ -1177,12 +1133,13 @@ impl Future for Sleep {
 /// in time, typed [`TrustError::TimedOut`] otherwise. The loser is
 /// dropped — for a [`RemotePending`] that means the response, when it
 /// eventually arrives, is discarded by the reader.
-async fn with_deadline<T, F>(mut fut: F, deadline: Instant) -> Result<T, TrustError>
-where
-    F: Future<Output = Result<T, TrustError>> + Unpin,
-{
+async fn with_deadline<T>(
+    fut: impl Future<Output = Result<T, TrustError>>,
+    deadline: Instant,
+) -> Result<T, TrustError> {
+    let mut fut = std::pin::pin!(fut);
     let mut sleep = sleep_until(deadline);
-    std::future::poll_fn(move |cx| match Pin::new(&mut fut).poll(cx) {
+    std::future::poll_fn(move |cx| match fut.as_mut().poll(cx) {
         Poll::Ready(result) => Poll::Ready(result),
         Poll::Pending => match Pin::new(&mut sleep).poll(cx) {
             Poll::Ready(()) => Poll::Ready(Err(TrustError::TimedOut)),

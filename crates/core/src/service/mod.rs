@@ -21,18 +21,21 @@
 //!   [`LogBackend`](crate::log_backend::LogBackend) — and moves it onto a
 //!   dedicated actor thread. The actor is the **only** way several
 //!   writers reach one engine: no backend takes writes through `&self`.
-//! * [`TrustServiceHandle`] is `Clone + Send`; its methods are `async fn`s
-//!   whose futures are plain [`std::future::Future`]s — no runtime
-//!   required. Drive them with [`block_on`] (re-exported here from the
-//!   vendored `futures` shim) or any executor.
+//! * [`TrustApi`] is the **one surface** every tier serves: this actor's
+//!   [`TrustServiceHandle`], the [`sharded`] router, the [`remote`] client
+//!   and the [`fleet`] router all implement it, so code written against
+//!   the trait runs on any of them. Handles are `Clone + Send + Sync`, and
+//!   every operation returns a plain owned [`std::future::Future`] — no
+//!   runtime required. Drive them with [`block_on`] (re-exported here from
+//!   the vendored `futures` shim) or any executor.
 //! * The **delegation session is the wire unit**: a handle
-//!   [`evaluate`](TrustServiceHandle::evaluate)s a
+//!   [`evaluate`](TrustApi::evaluate)s a
 //!   [`DelegationRequest`] inside the actor, the caller turns the
-//!   [`Decision`] into an
+//!   [`Decision`](crate::delegation::Decision) into an
 //!   [`ActiveDelegation`](crate::delegation::ActiveDelegation) it finishes
 //!   locally, and the resulting [`CompletedDelegation`] — one-shot and
 //!   pre-validated by construction — travels back through
-//!   [`commit`](TrustServiceHandle::commit).
+//!   [`commit`](TrustApi::commit).
 //! * The actor **batches the mailbox drain**: adjacent commits in one
 //!   drain fold through a single
 //!   [`commit_batch_receipts`](TrustEngine::commit_batch_receipts) storage
@@ -40,16 +43,16 @@
 //!   every caller still gets its own [`DelegationReceipt`]. Queries are
 //!   answered in arrival order, so a caller that awaited its commit ack
 //!   always reads its own write.
-//! * **Graceful shutdown**: [`TrustServiceHandle::shutdown`] (or dropping
-//!   every handle) drains the mailbox, commits everything queued, flushes
-//!   the backend — on a durable engine no acked commit is lost — and only
-//!   then stops. [`TrustService::shutdown`] additionally hands the engine
-//!   back for inspection or reuse.
+//! * **Graceful shutdown**: [`TrustApi::shutdown`] (or dropping every
+//!   handle) drains the mailbox, commits everything queued, flushes the
+//!   backend — on a durable engine no acked commit is lost — and only then
+//!   stops. [`TrustService::shutdown`] additionally hands the engine back
+//!   for inspection or reuse.
 //!
 //! Backpressure is by bounded mailbox: once `ServiceOptions::mailbox`
 //! messages are queued, submitting threads block in `send` until the actor
 //! drains — the service sheds load onto its callers instead of growing an
-//! unbounded queue. Saturation is observable: [`TrustServiceHandle::stats`]
+//! unbounded queue. Saturation is observable: [`TrustApi::shard_stats`]
 //! reports the live mailbox depth and the drained-commit-batch sizes
 //! ([`ShardStats`]), so callers can see when they are the bottleneck.
 //!
@@ -57,8 +60,9 @@
 //! bottleneck, the [`sharded`] tier partitions the engine across N
 //! independent actors by a stable hash of the trustee peer —
 //! [`ShardedTrustService::spawn_sharded`] — behind one routing
-//! [`ShardedTrustServiceHandle`] with the same per-peer API plus
-//! fan-out/merge broadcast queries.
+//! [`ShardedTrustServiceHandle`] with the same API plus fan-out/merge
+//! broadcast queries. A single actor is served over the wire as a
+//! one-shard router (`ShardedTrustServiceHandle::from(handle)`).
 //!
 //! ```
 //! use siot_core::prelude::*;
@@ -91,7 +95,7 @@
 
 use crate::backend::TrustBackend;
 use crate::delegation::{
-    CompletedDelegation, Decision, DelegationOutcome, DelegationReceipt, DelegationRequest,
+    CompletedDelegation, DelegationOutcome, DelegationReceipt, DelegationRequest,
     EvaluatedDelegation,
 };
 use crate::error::TrustError;
@@ -109,18 +113,18 @@ use std::task::{Context, Poll};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+mod api;
 pub mod fault;
 pub mod fleet;
 pub mod remote;
 pub mod replica;
 pub mod sharded;
 
+pub use api::TrustApi;
 pub use fault::{Fault, FaultPlan, FaultProxy};
 pub use fleet::{FleetCut, FleetOptions, FleetTrustHandle, NodeStats};
 pub use futures::executor::block_on;
-pub use remote::{
-    DedupWindow, RemotePending, RemoteTrustServer, RemoteTrustServiceHandle, ServiceEndpoint,
-};
+pub use remote::{DedupWindow, RemotePending, RemoteTrustServer, RemoteTrustServiceHandle};
 pub use replica::{ReadSnapshot, ReplicaHandle};
 pub use sharded::{Freshness, ShardedTrustService, ShardedTrustServiceHandle};
 
@@ -180,8 +184,7 @@ impl Default for ServiceOptions {
 /// tier reports one of these per shard — a plain [`TrustService`] is the
 /// one-shard case).
 ///
-/// Returned by [`TrustServiceHandle::stats`] and, fleet-wide, by
-/// [`ShardedTrustServiceHandle::shard_stats`]. The commit counters are the
+/// Returned, one per shard, by [`TrustApi::shard_stats`]. The commit counters are the
 /// actor's own bookkeeping (consistent with the mailbox order at the moment
 /// the stats query was served); `mailbox_depth` is sampled from the live
 /// send counter, so it reflects messages enqueued *after* the query too.
@@ -419,13 +422,9 @@ impl<R> Future for Pending<R> {
     }
 }
 
-/// A cloneable, `Send` handle to a running [`TrustService`] actor.
-///
-/// Every method is an `async fn` (or returns a [`Pending`] future): the
-/// message is sent when the future is first polled — except
-/// [`submit`](Self::submit), which sends eagerly so callers can pipeline —
-/// and the future resolves when the actor replies. All futures are plain
-/// `std` futures; drive them with [`block_on`] or any executor.
+/// A cloneable, `Send` handle to a running [`TrustService`] actor — the
+/// one-actor [`TrustApi`]. Every operation sends its message when called
+/// and returns a future that resolves when the actor replies.
 #[derive(Debug)]
 pub struct TrustServiceHandle<P> {
     tx: SyncSender<Message<P>>,
@@ -448,7 +447,7 @@ impl<P> Clone for TrustServiceHandle<P> {
     }
 }
 
-impl<P: Copy + Ord> TrustServiceHandle<P> {
+impl<P: Copy + Ord + Send + Sync + 'static> TrustServiceHandle<P> {
     /// Sends one message, blocking briefly if the mailbox is full.
     fn request<R>(&self, build: impl FnOnce(oneshot::Sender<R>) -> Message<P>) -> Pending<R> {
         let (tx, rx) = oneshot::channel();
@@ -462,15 +461,6 @@ impl<P: Copy + Ord> TrustServiceHandle<P> {
                 Pending::failed(TrustError::ServiceStopped)
             }
         }
-    }
-
-    /// Eagerly submits one finished session for committing and returns the
-    /// receipt future — the pipelining primitive: submit a window of
-    /// completions first, await the receipts after, and the actor folds
-    /// them in one batched drain. [`commit`](Self::commit) is this plus the
-    /// immediate await.
-    pub fn submit(&self, completed: CompletedDelegation<P>) -> Pending<DelegationReceipt<P>> {
-        self.request(|reply| Message::Command(Command::Commit { completed, reply }))
     }
 
     /// Eagerly submits a whole batch of finished sessions as **one**
@@ -494,69 +484,6 @@ impl<P: Copy + Ord> TrustServiceHandle<P> {
         self.request(|reply| Message::Command(Command::CommitMany { batch, reply }))
     }
 
-    /// Commits one finished session and resolves to its receipt.
-    pub async fn commit(
-        &self,
-        completed: CompletedDelegation<P>,
-    ) -> Result<DelegationReceipt<P>, TrustError> {
-        self.submit(completed).await
-    }
-
-    /// Runs the §3.3 evaluation of `request` against the service's engine
-    /// (direct record → inference → gated referrals → prior) and resolves
-    /// to the evaluated session.
-    pub async fn evaluate(
-        &self,
-        request: DelegationRequest<P>,
-    ) -> Result<EvaluatedDelegation<P>, TrustError> {
-        self.request(|reply| Message::Query(Query::Evaluate { request, reply })).await
-    }
-
-    /// [`evaluate`](Self::evaluate) carried through to the §3.4 decision.
-    /// The [`Delegate`](Decision::Delegate) arm holds the one-shot
-    /// [`ActiveDelegation`](crate::delegation::ActiveDelegation) the caller
-    /// finishes locally and [`commit`](Self::commit)s back.
-    pub async fn delegate(&self, request: DelegationRequest<P>) -> Result<Decision<P>, TrustError> {
-        Ok(self.evaluate(request).await?.into_decision())
-    }
-
-    /// The whole committed session in one round trip: the actor activates
-    /// `request`, validates `outcome`, and folds it batched with adjacent
-    /// commits. For callers whose delegation decision was already made
-    /// upstream (a coordinator re-materializing reports, a feedback-only
-    /// trustor).
-    pub async fn complete(
-        &self,
-        request: DelegationRequest<P>,
-        outcome: DelegationOutcome,
-    ) -> Result<DelegationReceipt<P>, TrustError> {
-        self.request(|reply| Message::Command(Command::Complete { request, outcome, reply }))
-            .await?
-    }
-
-    /// Registers (or replaces) a task definition in the service's engine —
-    /// inference needs the characteristic weights.
-    pub async fn register_task(&self, task: Task) -> Result<(), TrustError> {
-        self.request(|reply| Message::Command(Command::RegisterTask { task, reply })).await
-    }
-
-    /// Eq. 18 trustworthiness toward `(peer, task)`, `None` without direct
-    /// experience.
-    pub async fn trustworthiness(
-        &self,
-        peer: P,
-        task: TaskId,
-    ) -> Result<Option<Trustworthiness>, TrustError> {
-        self.request(|reply| Message::Query(Query::Trustworthiness { peer, task, reply })).await
-    }
-
-    /// The record for `(peer, task)`, if any interaction happened.
-    pub async fn record(&self, peer: P, task: TaskId) -> Result<Option<TrustRecord>, TrustError> {
-        self.request(|reply| Message::Query(Query::Record { peer, task, reply })).await
-    }
-
-    // ---- the read-replica seam: snapshot reads, bounded staleness ------
-
     /// The latest published [`ReadSnapshot`] — zero mailbox traffic,
     /// infallible (the last published state keeps answering after the
     /// service stopped). See the [`replica`] module docs.
@@ -569,136 +496,59 @@ impl<P: Copy + Ord> TrustServiceHandle<P> {
         ReplicaHandle::over(vec![Arc::clone(&self.slot)].into())
     }
 
-    /// The publication slot — the sharded/remote tiers' access to this
-    /// shard's snapshots.
+    /// The publication slot — the sharded tier's access to this shard's
+    /// snapshots.
     pub(crate) fn slot(&self) -> &Arc<ReplicaSlot<P>> {
         &self.slot
     }
 
-    /// [`record`](Self::record) with an explicit [`Freshness`]. Under
-    /// [`Freshness::Snapshot`] the read is served from the latest
-    /// published snapshot while within its staleness bound and falls
-    /// through to a fresh mailbox read otherwise; `Relaxed` and `Aligned`
-    /// are both the ordinary mailbox read on a single actor.
-    pub async fn record_with(
-        &self,
-        peer: P,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Result<Option<TrustRecord>, TrustError> {
-        self.record_round_with(peer, task, freshness).await
+    /// The published snapshot when `freshness` accepts one and it is within
+    /// the staleness bound; `None` means the actor answers. `Relaxed` and
+    /// `Aligned` are both the ordinary mailbox read on a single actor.
+    pub(crate) fn snapshot_for(&self, freshness: Freshness) -> Option<Arc<ReadSnapshot<P>>> {
+        match freshness {
+            Freshness::Snapshot { max_epoch_lag } => self.slot.fresh_within(max_epoch_lag),
+            Freshness::Relaxed | Freshness::Aligned => None,
+        }
     }
 
-    /// The eager send of [`record_with`](Self::record_with) — a snapshot
-    /// hit resolves without any actor round trip.
+    /// The eager record read: a snapshot hit resolves without any actor
+    /// round trip.
     pub(crate) fn record_round_with(
         &self,
         peer: P,
         task: TaskId,
         freshness: Freshness,
     ) -> Pending<Option<TrustRecord>> {
-        if let Freshness::Snapshot { max_epoch_lag } = freshness {
-            if let Some(snap) = self.slot.fresh_within(max_epoch_lag) {
-                return Pending::ready(snap.record(peer, task));
-            }
+        match self.snapshot_for(freshness) {
+            Some(snap) => Pending::ready(snap.record(peer, task)),
+            None => self.request(|reply| Message::Query(Query::Record { peer, task, reply })),
         }
-        self.request(|reply| Message::Query(Query::Record { peer, task, reply }))
     }
 
-    /// [`trustworthiness`](Self::trustworthiness) with an explicit
-    /// [`Freshness`] — see [`record_with`](Self::record_with).
-    pub async fn trustworthiness_with(
-        &self,
-        peer: P,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Result<Option<Trustworthiness>, TrustError> {
-        self.trustworthiness_round_with(peer, task, freshness).await
-    }
-
-    /// The eager send of
-    /// [`trustworthiness_with`](Self::trustworthiness_with).
+    /// The eager trustworthiness read; see [`Self::record_round_with`].
     pub(crate) fn trustworthiness_round_with(
         &self,
         peer: P,
         task: TaskId,
         freshness: Freshness,
     ) -> Pending<Option<Trustworthiness>> {
-        if let Freshness::Snapshot { max_epoch_lag } = freshness {
-            if let Some(snap) = self.slot.fresh_within(max_epoch_lag) {
-                return Pending::ready(snap.trustworthiness(peer, task));
+        match self.snapshot_for(freshness) {
+            Some(snap) => Pending::ready(snap.trustworthiness(peer, task)),
+            None => {
+                self.request(|reply| Message::Query(Query::Trustworthiness { peer, task, reply }))
             }
         }
-        self.request(|reply| Message::Query(Query::Trustworthiness { peer, task, reply }))
     }
 
-    /// [`known_peers`](Self::known_peers) with an explicit [`Freshness`]
-    /// — see [`record_with`](Self::record_with).
-    pub async fn known_peers_with(&self, freshness: Freshness) -> Result<Vec<P>, TrustError> {
-        Ok(self.known_peers_round_with(freshness).await?.1)
-    }
-
-    /// The eager epoch-stamped send of
-    /// [`known_peers_with`](Self::known_peers_with).
-    pub(crate) fn known_peers_round_with(&self, freshness: Freshness) -> Pending<(u64, Vec<P>)> {
-        if let Freshness::Snapshot { max_epoch_lag } = freshness {
-            if let Some(snap) = self.slot.fresh_within(max_epoch_lag) {
-                return Pending::ready((snap.epoch(), snap.known_peers()));
-            }
-        }
-        self.known_peers_in(None)
-    }
-
-    /// [`task_records`](Self::task_records) with an explicit
-    /// [`Freshness`] — see [`record_with`](Self::record_with).
-    pub async fn task_records_with(
-        &self,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Result<Vec<(P, TrustRecord)>, TrustError> {
-        Ok(self.task_records_round_with(task, freshness).await?.1)
-    }
-
-    /// The eager epoch-stamped send of
-    /// [`task_records_with`](Self::task_records_with).
-    pub(crate) fn task_records_round_with(
-        &self,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Pending<(u64, Vec<(P, TrustRecord)>)> {
-        if let Freshness::Snapshot { max_epoch_lag } = freshness {
-            if let Some(snap) = self.slot.fresh_within(max_epoch_lag) {
-                return Pending::ready((snap.epoch(), snap.task_records(task)));
-            }
-        }
-        self.task_records_in(task, None)
-    }
-
-    /// Peers with at least one record — each exactly once, ascending.
-    pub async fn known_peers(&self) -> Result<Vec<P>, TrustError> {
-        Ok(self.known_peers_in(None).await?.1)
-    }
-
-    /// [`Self::known_peers`] with an optional rendezvous, epoch-stamped —
-    /// the sharded tier's aligned fan-out seam and the wire tier's
-    /// epoch source.
+    /// Every known peer, epoch-stamped, with an optional rendezvous — the
+    /// sharded tier's aligned fan-out seam.
     fn known_peers_in(&self, align: Option<Arc<Rendezvous>>) -> Pending<(u64, Vec<P>)> {
         self.request(|reply| Message::Query(Query::KnownPeers { align, reply }))
     }
 
-    /// Every `(peer, record)` pair held for `task`, ascending by peer —
-    /// one round trip and one consistent snapshot, where a
-    /// [`known_peers`](Self::known_peers)-then-[`record`](Self::record)
-    /// loop would cross the mailbox once per peer and interleave with
-    /// concurrent commits. The shape ranking and fleet-survey callers
-    /// want.
-    pub async fn task_records(&self, task: TaskId) -> Result<Vec<(P, TrustRecord)>, TrustError> {
-        Ok(self.task_records_in(task, None).await?.1)
-    }
-
-    /// [`Self::task_records`] with an optional rendezvous, epoch-stamped —
-    /// the sharded tier's aligned fan-out seam and the wire tier's
-    /// epoch source.
+    /// Every `(peer, record)` pair for `task`, epoch-stamped, with an
+    /// optional rendezvous — see [`Self::known_peers_in`].
     fn task_records_in(
         &self,
         task: TaskId,
@@ -707,30 +557,114 @@ impl<P: Copy + Ord> TrustServiceHandle<P> {
         self.request(|reply| Message::Query(Query::TaskRecords { task, align, reply }))
     }
 
-    /// The actor's saturation counters: live mailbox depth plus the
-    /// drained-commit-batch bookkeeping. See [`ShardStats`].
-    pub async fn stats(&self) -> Result<ShardStats, TrustError> {
-        self.stats_in().await
-    }
-
-    /// The eager [`Self::stats`] — the sharded tier's fan-out seam.
+    /// The actor's saturation counters, sent now.
     fn stats_in(&self) -> Pending<ShardStats> {
         self.request(|reply| Message::Query(Query::Stats { reply }))
     }
 
-    /// Pushes engine state down to stable storage (see
-    /// [`TrustEngine::flush`]) and resolves once it is down.
-    pub async fn flush(&self) -> Result<(), TrustError> {
-        self.request(|reply| Message::Command(Command::Flush { reply })).await?
+    /// The eager stop: the actor drains, flushes and exits. An actor that
+    /// is already gone — another handle stopped it, and its drain and
+    /// flush still happened — counts as stopped.
+    fn stop(&self) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        let stopped = self.request(|reply| Message::Command(Command::Shutdown { reply }));
+        async move { stopped.await.unwrap_or(Ok(())) }
+    }
+}
+
+impl<P: Copy + Ord + Send + Sync + 'static> TrustApi<P> for TrustServiceHandle<P> {
+    fn submit(
+        &self,
+        completed: CompletedDelegation<P>,
+    ) -> impl Future<Output = Result<DelegationReceipt<P>, TrustError>> + Send + 'static {
+        self.request(|reply| Message::Command(Command::Commit { completed, reply }))
     }
 
-    /// Stops the service gracefully: the actor finishes draining its
-    /// mailbox (every queued commit is folded and acked), flushes the
-    /// backend, then exits — on a durable engine, no acked commit is lost.
-    /// Requests arriving after the drain fail with
-    /// [`TrustError::ServiceStopped`].
-    pub async fn shutdown(&self) -> Result<(), TrustError> {
-        self.request(|reply| Message::Command(Command::Shutdown { reply })).await?
+    fn submit_batch(
+        &self,
+        batch: Vec<CompletedDelegation<P>>,
+    ) -> impl Future<Output = Result<Vec<DelegationReceipt<P>>, TrustError>> + Send + 'static {
+        TrustServiceHandle::submit_batch(self, batch)
+    }
+
+    fn evaluate(
+        &self,
+        request: DelegationRequest<P>,
+    ) -> impl Future<Output = Result<EvaluatedDelegation<P>, TrustError>> + Send + 'static {
+        self.request(|reply| Message::Query(Query::Evaluate { request, reply }))
+    }
+
+    fn complete(
+        &self,
+        request: DelegationRequest<P>,
+        outcome: DelegationOutcome,
+    ) -> impl Future<Output = Result<DelegationReceipt<P>, TrustError>> + Send + 'static {
+        let completed =
+            self.request(|reply| Message::Command(Command::Complete { request, outcome, reply }));
+        async move { completed.await? }
+    }
+
+    fn register_task(
+        &self,
+        task: Task,
+    ) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        self.request(|reply| Message::Command(Command::RegisterTask { task, reply }))
+    }
+
+    fn record_with(
+        &self,
+        peer: P,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Option<TrustRecord>, TrustError>> + Send + 'static {
+        self.record_round_with(peer, task, freshness)
+    }
+
+    fn trustworthiness_with(
+        &self,
+        peer: P,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Option<Trustworthiness>, TrustError>> + Send + 'static {
+        self.trustworthiness_round_with(peer, task, freshness)
+    }
+
+    fn known_peers_with(
+        &self,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Vec<P>, TrustError>> + Send + 'static {
+        let peers = match self.snapshot_for(freshness) {
+            Some(snap) => Pending::ready((snap.epoch(), snap.known_peers())),
+            None => self.known_peers_in(None),
+        };
+        async move { Ok(peers.await?.1) }
+    }
+
+    fn task_records_with(
+        &self,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Vec<(P, TrustRecord)>, TrustError>> + Send + 'static {
+        let records = match self.snapshot_for(freshness) {
+            Some(snap) => Pending::ready((snap.epoch(), snap.task_records(task))),
+            None => self.task_records_in(task, None),
+        };
+        async move { Ok(records.await?.1) }
+    }
+
+    fn shard_stats(
+        &self,
+    ) -> impl Future<Output = Result<Vec<ShardStats>, TrustError>> + Send + 'static {
+        let stats = self.stats_in();
+        async move { Ok(vec![stats.await?]) }
+    }
+
+    fn flush(&self) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        let flushed = self.request(|reply| Message::Command(Command::Flush { reply }));
+        async move { flushed.await? }
+    }
+
+    fn shutdown(&self) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        self.stop()
     }
 }
 
@@ -749,7 +683,7 @@ where
 {
     /// Takes ownership of `engine` and moves it onto a dedicated actor
     /// thread. Register task definitions before spawning (or via
-    /// [`TrustServiceHandle::register_task`]).
+    /// [`TrustApi::register_task`]).
     pub fn spawn(engine: TrustEngine<P, B>, options: ServiceOptions) -> Self {
         Self::spawn_named(engine, options, "siot-trust-service".into())
     }
@@ -787,20 +721,15 @@ where
         self.handle.clone()
     }
 
-    /// Gracefully stops the actor ([`TrustServiceHandle::shutdown`]) and
+    /// Gracefully stops the actor ([`TrustApi::shutdown`]) and
     /// hands the engine back. If the final durable flush failed, its error
     /// is returned instead and the engine is dropped — the journal retries
     /// the flush on drop, and callers that must keep the engine on flush
     /// failure can `flush().await` through the handle first.
     pub fn shutdown(self) -> Result<TrustEngine<P, B>, TrustError> {
-        let flushed = block_on(self.handle.shutdown());
+        let flushed = block_on(self.handle.stop());
         let engine = self.thread.join().map_err(|_| TrustError::WorkerPanicked)?;
-        match flushed {
-            // a concurrent handle already shut the actor down: the drain
-            // and flush still happened, just acked to someone else
-            Ok(()) | Err(TrustError::ServiceStopped) => Ok(engine),
-            Err(e) => Err(e),
-        }
+        flushed.map(|()| engine)
     }
 }
 
@@ -1015,6 +944,7 @@ mod tests {
     use super::*;
     use crate::backend::ShardedBackend;
     use crate::context::Context;
+    use crate::delegation::Decision;
     use crate::goal::Goal;
     use crate::record::Observation;
     use crate::store::TrustStore;

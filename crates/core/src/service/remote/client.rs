@@ -1,5 +1,5 @@
-//! The calling side: [`RemoteTrustServiceHandle`] mirrors the local
-//! service handle API over one TCP connection.
+//! The calling side: [`RemoteTrustServiceHandle`] serves the
+//! [`TrustApi`] over one TCP connection.
 //!
 //! Every method sends its request frame **eagerly** (on the method call,
 //! not the first poll) tagged with a fresh request id, registers a oneshot
@@ -39,7 +39,7 @@ use futures::channel::oneshot;
 
 use super::wire::{self, QueryKind, Request};
 use crate::delegation::{
-    CompletedDelegation, Decision, DelegationOutcome, DelegationReceipt, DelegationRequest,
+    CompletedDelegation, DelegationOutcome, DelegationReceipt, DelegationRequest,
     EvaluatedDelegation,
 };
 use crate::error::TrustError;
@@ -47,7 +47,7 @@ use crate::framing;
 use crate::log_backend::LogKey;
 use crate::record::TrustRecord;
 use crate::service::sharded::Freshness;
-use crate::service::{Cut, ShardStats};
+use crate::service::{Cut, ShardStats, TrustApi};
 use crate::task::{Task, TaskId};
 use crate::tw::Trustworthiness;
 
@@ -86,16 +86,15 @@ impl Drop for ClientInner {
     }
 }
 
-/// A connected client handle to a [`RemoteTrustServer`]. Mirrors the
-/// local [`TrustServiceHandle`]/[`ShardedTrustServiceHandle`] API; see
-/// the [module docs](crate::service::remote) for pipelining and failure semantics.
+/// A connected client handle to a [`RemoteTrustServer`]: the
+/// [`TrustApi`] over one connection; see the
+/// [module docs](crate::service::remote) for pipelining and failure
+/// semantics.
 ///
 /// Cloning is cheap and clones share the connection (and its request-id
 /// space) — hand clones to as many threads as you like.
 ///
 /// [`RemoteTrustServer`]: super::RemoteTrustServer
-/// [`TrustServiceHandle`]: crate::service::TrustServiceHandle
-/// [`ShardedTrustServiceHandle`]: crate::service::ShardedTrustServiceHandle
 #[derive(Debug)]
 pub struct RemoteTrustServiceHandle<P> {
     inner: Arc<ClientInner>,
@@ -260,8 +259,8 @@ impl<P: LogKey + Send + 'static> RemoteTrustServiceHandle<P> {
         RemotePending::waiting(rx, decode)
     }
 
-    /// Eagerly submits one finished session; mirrors
-    /// [`TrustServiceHandle::submit`](crate::service::TrustServiceHandle::submit).
+    /// Eagerly submits one finished session — [`TrustApi::submit`] with
+    /// the wire's own future type.
     pub fn submit(&self, completed: CompletedDelegation<P>) -> RemotePending<DelegationReceipt<P>> {
         self.send(Request::Commit(completed), wire::decode_receipt::<P>)
     }
@@ -290,82 +289,17 @@ impl<P: LogKey + Send + 'static> RemoteTrustServiceHandle<P> {
         }
     }
 
-    /// Commits one finished session and resolves to its receipt.
-    pub async fn commit(
-        &self,
-        completed: CompletedDelegation<P>,
-    ) -> Result<DelegationReceipt<P>, TrustError> {
-        self.submit(completed).await
-    }
-
-    /// Runs the §3.3 evaluation server-side and resolves to the evaluated
-    /// session — the same `EvaluatedDelegation` a local handle returns, so
-    /// `into_decision` works identically.
-    pub async fn evaluate(
-        &self,
-        request: DelegationRequest<P>,
-    ) -> Result<EvaluatedDelegation<P>, TrustError> {
-        self.send(Request::Evaluate(request), wire::decode_evaluated::<P>).await
-    }
-
-    /// [`evaluate`](Self::evaluate) carried through to the §3.4 decision,
-    /// made locally from the wire evaluation.
-    pub async fn delegate(&self, request: DelegationRequest<P>) -> Result<Decision<P>, TrustError> {
-        Ok(self.evaluate(request).await?.into_decision())
-    }
-
-    /// The whole committed session in one round trip: activation,
-    /// validation, and the batched fold all happen server-side.
-    pub async fn complete(
-        &self,
-        request: DelegationRequest<P>,
-        outcome: DelegationOutcome,
-    ) -> Result<DelegationReceipt<P>, TrustError> {
-        self.send(Request::Complete(request, outcome), wire::decode_receipt::<P>).await
-    }
-
-    /// Registers (or replaces) a task definition in the served engine.
-    pub async fn register_task(&self, task: Task) -> Result<(), TrustError> {
-        self.send(Request::RegisterTask(task), wire::decode_unit).await
-    }
-
-    /// Eq. 18 trustworthiness toward `(peer, task)` —
-    /// [`Freshness::Relaxed`].
-    pub async fn trustworthiness(
-        &self,
-        peer: P,
-        task: TaskId,
-    ) -> Result<Option<Trustworthiness>, TrustError> {
-        self.trustworthiness_with(peer, task, Freshness::Relaxed).await
-    }
-
-    /// [`trustworthiness`](Self::trustworthiness) at an explicit
-    /// freshness. Under [`Freshness::Snapshot`] a fresh-enough server
-    /// answers straight off the published replica snapshot — the reply
-    /// never waits behind the write path at all.
-    pub async fn trustworthiness_with(
+    /// [`TrustApi::record_with`], written now. Under
+    /// [`Freshness::Snapshot`] a fresh-enough server answers straight off
+    /// the published replica snapshot — the reply never waits behind the
+    /// write path at all.
+    pub fn record_with(
         &self,
         peer: P,
         task: TaskId,
         freshness: Freshness,
-    ) -> Result<Option<Trustworthiness>, TrustError> {
-        self.send(Request::Trustworthiness(peer, task, freshness), wire::decode_opt_tw).await
-    }
-
-    /// The record for `(peer, task)`, if any interaction happened —
-    /// [`Freshness::Relaxed`].
-    pub async fn record(&self, peer: P, task: TaskId) -> Result<Option<TrustRecord>, TrustError> {
-        self.record_with(peer, task, Freshness::Relaxed).await
-    }
-
-    /// [`record`](Self::record) at an explicit freshness.
-    pub async fn record_with(
-        &self,
-        peer: P,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Result<Option<TrustRecord>, TrustError> {
-        self.send(Request::Record(peer, task, freshness), wire::decode_opt_record).await
+    ) -> RemotePending<Option<TrustRecord>> {
+        self.send(Request::Record(peer, task, freshness), wire::decode_opt_record)
     }
 
     /// Many trustworthiness lookups in bulk: the whole batch rides
@@ -423,65 +357,114 @@ impl<P: LogKey + Send + 'static> RemoteTrustServiceHandle<P> {
         }
     }
 
-    /// Peers with at least one record, ascending —
-    /// [`Freshness::Relaxed`], value only.
-    pub async fn known_peers(&self) -> Result<Vec<P>, TrustError> {
-        Ok(self.known_peers_cut(Freshness::Relaxed).await?.value)
+    /// The epoch-stamped cut behind [`TrustApi::known_peers_with`]. Under
+    /// [`Freshness::Aligned`] the server runs its rendezvous barrier, so
+    /// the epoch vector names one global instant of the fleet — the
+    /// cross-process consistency token.
+    pub fn known_peers_cut(&self, freshness: Freshness) -> RemotePending<Cut<Vec<P>>> {
+        self.send(Request::KnownPeers(freshness), wire::decode_peers_cut::<P>)
     }
 
-    /// [`known_peers`](Self::known_peers) at an explicit freshness.
-    pub async fn known_peers_with(&self, freshness: Freshness) -> Result<Vec<P>, TrustError> {
-        Ok(self.known_peers_cut(freshness).await?.value)
-    }
-
-    /// The epoch-stamped cut behind [`known_peers`](Self::known_peers).
-    /// Under [`Freshness::Aligned`] the server runs its rendezvous
-    /// barrier, so the epoch vector names one global instant of the fleet
-    /// — the cross-process consistency token.
-    pub async fn known_peers_cut(&self, freshness: Freshness) -> Result<Cut<Vec<P>>, TrustError> {
-        self.send(Request::KnownPeers(freshness), wire::decode_peers_cut::<P>).await
-    }
-
-    /// Every `(peer, record)` pair held for `task`, ascending by peer.
-    pub async fn task_records(&self, task: TaskId) -> Result<Vec<(P, TrustRecord)>, TrustError> {
-        Ok(self.task_records_cut(task, Freshness::Relaxed).await?.value)
-    }
-
-    /// [`task_records`](Self::task_records) at an explicit freshness.
-    pub async fn task_records_with(
+    /// The epoch-stamped cut behind [`TrustApi::task_records_with`].
+    pub fn task_records_cut(
         &self,
         task: TaskId,
         freshness: Freshness,
-    ) -> Result<Vec<(P, TrustRecord)>, TrustError> {
-        Ok(self.task_records_cut(task, freshness).await?.value)
+    ) -> RemotePending<Cut<Vec<(P, TrustRecord)>>> {
+        self.send(Request::TaskRecords(task, freshness), wire::decode_records_cut::<P>)
+    }
+}
+
+/// Every operation is one request frame written when the method is
+/// called; a server-side error comes back as the same typed
+/// [`TrustError`]. [`shutdown`](TrustApi::shutdown) stops the **served
+/// service** (same guarantees as a local shutdown) and leaves the
+/// transport up: later requests are answered with
+/// [`TrustError::ServiceStopped`].
+impl<P: LogKey + Send + 'static> TrustApi<P> for RemoteTrustServiceHandle<P> {
+    fn submit(
+        &self,
+        completed: CompletedDelegation<P>,
+    ) -> impl Future<Output = Result<DelegationReceipt<P>, TrustError>> + Send + 'static {
+        RemoteTrustServiceHandle::submit(self, completed)
     }
 
-    /// The epoch-stamped cut behind [`task_records`](Self::task_records).
-    pub async fn task_records_cut(
+    fn submit_batch(
+        &self,
+        batch: Vec<CompletedDelegation<P>>,
+    ) -> impl Future<Output = Result<Vec<DelegationReceipt<P>>, TrustError>> + Send + 'static {
+        RemoteTrustServiceHandle::submit_batch(self, batch)
+    }
+
+    fn evaluate(
+        &self,
+        request: DelegationRequest<P>,
+    ) -> impl Future<Output = Result<EvaluatedDelegation<P>, TrustError>> + Send + 'static {
+        self.send(Request::Evaluate(request), wire::decode_evaluated::<P>)
+    }
+
+    fn complete(
+        &self,
+        request: DelegationRequest<P>,
+        outcome: DelegationOutcome,
+    ) -> impl Future<Output = Result<DelegationReceipt<P>, TrustError>> + Send + 'static {
+        self.send(Request::Complete(request, outcome), wire::decode_receipt::<P>)
+    }
+
+    fn register_task(
+        &self,
+        task: Task,
+    ) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        self.send(Request::RegisterTask(task), wire::decode_unit)
+    }
+
+    fn record_with(
+        &self,
+        peer: P,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Option<TrustRecord>, TrustError>> + Send + 'static {
+        RemoteTrustServiceHandle::record_with(self, peer, task, freshness)
+    }
+
+    fn trustworthiness_with(
+        &self,
+        peer: P,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Option<Trustworthiness>, TrustError>> + Send + 'static {
+        self.send(Request::Trustworthiness(peer, task, freshness), wire::decode_opt_tw)
+    }
+
+    fn known_peers_with(
+        &self,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Vec<P>, TrustError>> + Send + 'static {
+        let cut = self.known_peers_cut(freshness);
+        async move { Ok(cut.await?.value) }
+    }
+
+    fn task_records_with(
         &self,
         task: TaskId,
         freshness: Freshness,
-    ) -> Result<Cut<Vec<(P, TrustRecord)>>, TrustError> {
-        self.send(Request::TaskRecords(task, freshness), wire::decode_records_cut::<P>).await
+    ) -> impl Future<Output = Result<Vec<(P, TrustRecord)>, TrustError>> + Send + 'static {
+        let cut = self.task_records_cut(task, freshness);
+        async move { Ok(cut.await?.value) }
     }
 
-    /// Saturation counters, one entry per served shard (a single-actor
-    /// endpoint reports one).
-    pub async fn shard_stats(&self) -> Result<Vec<ShardStats>, TrustError> {
-        self.send(Request::ShardStats, wire::decode_stats).await
+    fn shard_stats(
+        &self,
+    ) -> impl Future<Output = Result<Vec<ShardStats>, TrustError>> + Send + 'static {
+        self.send(Request::ShardStats, wire::decode_stats)
     }
 
-    /// Pushes served engine state down to stable storage.
-    pub async fn flush(&self) -> Result<(), TrustError> {
-        self.send(Request::Flush, wire::decode_unit).await
+    fn flush(&self) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        self.send(Request::Flush, wire::decode_unit)
     }
 
-    /// Stops the **served trust service** (drain, flush, exit — same
-    /// guarantees as a local shutdown). The transport stays up: later
-    /// requests are answered with typed [`TrustError::ServiceStopped`]
-    /// errors. Idempotent across clients.
-    pub async fn shutdown(&self) -> Result<(), TrustError> {
-        self.send(Request::Shutdown, wire::decode_unit).await
+    fn shutdown(&self) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        self.send(Request::Shutdown, wire::decode_unit)
     }
 }
 

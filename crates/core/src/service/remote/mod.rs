@@ -1,17 +1,18 @@
 //! Federated trust over the wire: a TCP transport that exposes any
 //! running [`TrustService`] or [`ShardedTrustService`] to other
-//! processes, and a client handle that mirrors the local API.
+//! processes, and a client handle that serves the same [`TrustApi`].
 //!
 //! The paper's trust engine is a per-trustor state machine; federating a
 //! fleet means many IoT processes feeding observations into (and reading
 //! evaluations out of) one trustor's engine. This module is that seam:
 //!
 //! - [`RemoteTrustServer`] — binds a listener and serves a
-//!   [`ServiceEndpoint`] (either service tier) to any number of
-//!   connections;
-//! - [`RemoteTrustServiceHandle`] — connects, then speaks the same
-//!   `submit`/`evaluate`/`commit`/`known_peers`/… vocabulary as a local
-//!   handle, over plain `std` futures with full pipelining;
+//!   [`ShardedTrustServiceHandle`] to any number of connections; a single
+//!   actor's handle converts into a one-shard router, so either tier
+//!   binds the same way;
+//! - [`RemoteTrustServiceHandle`] — connects, then implements the one
+//!   [`TrustApi`] surface every local handle implements, over plain `std`
+//!   futures with full pipelining;
 //! - the wire protocol — length-prefixed CRC-32 frames (the same
 //!   [`framing`](crate::framing) the durable log uses) carrying
 //!   request-id-tagged payloads, every real as its IEEE-754 bits so
@@ -49,6 +50,8 @@
 //!
 //! [`TrustService`]: crate::service::TrustService
 //! [`ShardedTrustService`]: crate::service::ShardedTrustService
+//! [`ShardedTrustServiceHandle`]: crate::service::ShardedTrustServiceHandle
+//! [`TrustApi`]: crate::service::TrustApi
 
 mod client;
 mod dedup;
@@ -57,4 +60,4 @@ pub(crate) mod wire;
 
 pub use client::{RemotePending, RemoteTrustServiceHandle, BATCH_CHUNK, DEFAULT_CONNECT_TIMEOUT};
 pub use dedup::{DedupWindow, DEFAULT_DEDUP_BUDGET};
-pub use server::{RemoteTrustServer, ServiceEndpoint};
+pub use server::RemoteTrustServer;

@@ -1,5 +1,6 @@
 //! The serving side: a TCP listener that exposes a running trust service
-//! — single-actor or sharded — to remote [`RemoteTrustServiceHandle`]s.
+//! — a sharded router, or a single actor as a one-shard router — to remote
+//! [`RemoteTrustServiceHandle`]s.
 //!
 //! # Threading model
 //!
@@ -8,10 +9,11 @@
 //!
 //! - a **reader** that performs the banner handshake, then feeds bytes
 //!   through a [`StreamDecoder`], decodes each request, and dispatches it
-//!   *immediately* through the service's eager send seams — so requests
-//!   enter the actor mailboxes in the exact order this connection sent
-//!   them, and a full mailbox blocks the reader, which stops reading the
-//!   socket, which is TCP backpressure all the way to the client;
+//!   *immediately* through the router's [`TrustApi`], whose operations
+//!   send when called — so requests enter the actor mailboxes in the exact
+//!   order this connection sent them, and a full mailbox blocks the
+//!   reader, which stops reading the socket, which is TCP backpressure all
+//!   the way to the client;
 //! - a **writer** that multiplexes the in-flight reply futures of its
 //!   connection with a shared [`Parker`] waker and writes each response
 //!   frame as its future completes — *completion* order, not request
@@ -55,43 +57,8 @@ use crate::error::TrustError;
 use crate::framing::{self, StreamDecoder};
 use crate::log_backend::LogKey;
 use crate::service::sharded::{FanOut, ShardedTrustServiceHandle};
-use crate::service::{Command, Cut, Freshness, Message, Pending, Query, TrustServiceHandle};
+use crate::service::{Freshness, TrustApi};
 use crate::task::TaskId;
-
-/// The service a [`RemoteTrustServer`] fronts: one actor or a sharded
-/// fleet, behind one uniform wire surface. Both handle types convert
-/// [`Into`] this, so `RemoteTrustServer::bind(addr, handle)` works with
-/// either.
-#[derive(Debug)]
-pub enum ServiceEndpoint<P> {
-    /// A single [`TrustService`](crate::service::TrustService) actor.
-    Single(TrustServiceHandle<P>),
-    /// A [`ShardedTrustService`](crate::service::ShardedTrustService)
-    /// fleet — commits route by trustee, broadcasts fan out, and the
-    /// epoch vectors in cut replies carry one entry per shard.
-    Sharded(ShardedTrustServiceHandle<P>),
-}
-
-impl<P> Clone for ServiceEndpoint<P> {
-    fn clone(&self) -> Self {
-        match self {
-            ServiceEndpoint::Single(h) => ServiceEndpoint::Single(h.clone()),
-            ServiceEndpoint::Sharded(h) => ServiceEndpoint::Sharded(h.clone()),
-        }
-    }
-}
-
-impl<P> From<TrustServiceHandle<P>> for ServiceEndpoint<P> {
-    fn from(handle: TrustServiceHandle<P>) -> Self {
-        ServiceEndpoint::Single(handle)
-    }
-}
-
-impl<P> From<ShardedTrustServiceHandle<P>> for ServiceEndpoint<P> {
-    fn from(handle: ShardedTrustServiceHandle<P>) -> Self {
-        ServiceEndpoint::Sharded(handle)
-    }
-}
 
 /// A reply future being driven by a connection's writer thread; resolves
 /// to the fully-encoded response payload.
@@ -129,17 +96,23 @@ pub struct RemoteTrustServer {
 
 impl RemoteTrustServer {
     /// Binds `addr` (use port 0 for an ephemeral port — read it back with
-    /// [`local_addr`](Self::local_addr)) and starts serving `endpoint`.
-    /// Accepts any number of concurrent connections until
+    /// [`local_addr`](Self::local_addr)) and starts serving `service`: a
+    /// [`ShardedTrustServiceHandle`], or a single actor's handle, which
+    /// converts into a one-shard router. Commits route by trustee,
+    /// broadcasts fan out, and the epoch vectors in cut replies carry one
+    /// entry per shard. Accepts any number of concurrent connections until
     /// [`shutdown`](Self::shutdown) or drop. Tagged commits dedup against
     /// a fresh [`DedupWindow`]; to carry one across a node restart, use
     /// [`bind_with`](Self::bind_with).
-    pub fn bind<P, A>(addr: A, endpoint: impl Into<ServiceEndpoint<P>>) -> Result<Self, TrustError>
+    pub fn bind<P, A>(
+        addr: A,
+        service: impl Into<ShardedTrustServiceHandle<P>>,
+    ) -> Result<Self, TrustError>
     where
         P: LogKey + Hash + Send + Sync + 'static,
         A: ToSocketAddrs,
     {
-        Self::bind_with(addr, endpoint, DedupWindow::new())
+        Self::bind_with(addr, service, DedupWindow::new())
     }
 
     /// [`bind`](Self::bind), but dedup tagged commits against a caller-
@@ -149,7 +122,7 @@ impl RemoteTrustServer {
     /// their receipts instead of folding twice.
     pub fn bind_with<P, A>(
         addr: A,
-        endpoint: impl Into<ServiceEndpoint<P>>,
+        service: impl Into<ShardedTrustServiceHandle<P>>,
         window: DedupWindow,
     ) -> Result<Self, TrustError>
     where
@@ -158,7 +131,7 @@ impl RemoteTrustServer {
     {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let endpoint = endpoint.into();
+        let service = service.into();
         let stop = Arc::new(AtomicBool::new(false));
         let conns = Arc::new(Mutex::new(Vec::new()));
         let accept = thread::Builder::new()
@@ -167,7 +140,7 @@ impl RemoteTrustServer {
                 let stop = Arc::clone(&stop);
                 let conns = Arc::clone(&conns);
                 let window = window.clone();
-                move || accept_loop(listener, endpoint, stop, conns, window)
+                move || accept_loop(listener, service, stop, conns, window)
             })
             .map_err(|e| TrustError::Io(e.to_string()))?;
         Ok(RemoteTrustServer { addr, stop, accept: Some(accept), conns, window })
@@ -218,7 +191,7 @@ impl Drop for RemoteTrustServer {
 
 fn accept_loop<P: LogKey + Hash + Send + Sync + 'static>(
     listener: TcpListener,
-    endpoint: ServiceEndpoint<P>,
+    service: ShardedTrustServiceHandle<P>,
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<ConnHandle>>>,
     window: DedupWindow,
@@ -228,7 +201,7 @@ fn accept_loop<P: LogKey + Hash + Send + Sync + 'static>(
             break;
         }
         let Ok(stream) = incoming else { continue };
-        if let Ok(handle) = spawn_connection(stream, endpoint.clone(), window.clone()) {
+        if let Ok(handle) = spawn_connection(stream, service.clone(), window.clone()) {
             conns.lock().expect("connection registry").push(handle);
         }
     }
@@ -236,7 +209,7 @@ fn accept_loop<P: LogKey + Hash + Send + Sync + 'static>(
 
 fn spawn_connection<P: LogKey + Hash + Send + Sync + 'static>(
     stream: TcpStream,
-    endpoint: ServiceEndpoint<P>,
+    service: ShardedTrustServiceHandle<P>,
     window: DedupWindow,
 ) -> std::io::Result<ConnHandle> {
     let _ = stream.set_nodelay(true);
@@ -249,7 +222,7 @@ fn spawn_connection<P: LogKey + Hash + Send + Sync + 'static>(
     let writer_stream = stream.try_clone()?;
     let reader = thread::Builder::new().name("siot-remote-rx".into()).spawn({
         let conn = Arc::clone(&conn);
-        move || reader_loop(reader_stream, endpoint, conn, window)
+        move || reader_loop(reader_stream, service, conn, window)
     })?;
     let writer = thread::Builder::new()
         .name("siot-remote-tx".into())
@@ -259,7 +232,7 @@ fn spawn_connection<P: LogKey + Hash + Send + Sync + 'static>(
 
 fn reader_loop<P: LogKey + Hash + Send + Sync + 'static>(
     mut stream: TcpStream,
-    endpoint: ServiceEndpoint<P>,
+    service: ShardedTrustServiceHandle<P>,
     conn: Arc<Conn>,
     window: DedupWindow,
 ) {
@@ -277,7 +250,7 @@ fn reader_loop<P: LogKey + Hash + Send + Sync + 'static>(
         wire::check_banner(&banner)
     })();
     if handshake.is_ok() {
-        serve(&mut stream, &endpoint, &conn, &window);
+        serve(&mut stream, &service, &conn, &window);
     }
     // hand the connection to the writer for its final flush; stop reading
     // but leave the write half open until the writer is done with it
@@ -288,7 +261,7 @@ fn reader_loop<P: LogKey + Hash + Send + Sync + 'static>(
 
 fn serve<P: LogKey + Hash + Send + Sync + 'static>(
     stream: &mut TcpStream,
-    endpoint: &ServiceEndpoint<P>,
+    service: &ShardedTrustServiceHandle<P>,
     conn: &Conn,
     window: &DedupWindow,
 ) {
@@ -306,7 +279,7 @@ fn serve<P: LogKey + Hash + Send + Sync + 'static>(
             // decode straight out of the stream buffer — no payload copy
             match decoder.next_payload_with(wire::decode_request::<P>) {
                 Ok(Some(Ok((req_id, request)))) => {
-                    enqueue(conn, dispatch(endpoint, window, req_id, request));
+                    enqueue(conn, dispatch(service, window, req_id, request));
                 }
                 Ok(Some(Err(RequestError::Addressed(req_id, err)))) => {
                     // the request was garbage but its id was readable:
@@ -368,174 +341,56 @@ fn writer_loop(mut stream: TcpStream, conn: Arc<Conn>) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Sends `request` into the endpoint **now** (the eager seams — ordering
-/// into the mailboxes matches wire arrival order) and returns the future
-/// of its encoded response.
+/// Sends `request` into the service **now** (every [`TrustApi`] operation
+/// of the router sends when called — ordering into the mailboxes matches
+/// wire arrival order) and returns the future of its encoded response.
 fn dispatch<P: LogKey + Hash + Send + Sync + 'static>(
-    endpoint: &ServiceEndpoint<P>,
+    h: &ShardedTrustServiceHandle<P>,
     window: &DedupWindow,
     req_id: u64,
     request: Request<P>,
 ) -> RespFuture {
-    // tagged commits go through the dedup window regardless of endpoint
-    // shape: a retried (session, seq) replays its receipts, never re-folds
-    let request = match request {
-        Request::CommitManySeq { session, seq, batch } => {
-            return dispatch_tagged(endpoint, window, req_id, session, seq, batch);
+    match request {
+        Request::Commit(completed) => {
+            respond(req_id, h.submit(completed), |out, r| wire::put_receipt(out, r))
         }
-        other => other,
-    };
-    match endpoint {
-        ServiceEndpoint::Single(h) => match request {
-            Request::Commit(completed) => {
-                respond(req_id, h.submit(completed), |out, r| wire::put_receipt(out, r))
-            }
-            Request::CommitMany(batch) => {
-                respond(req_id, h.submit_batch(batch), |out, r| wire::put_receipts(out, r))
-            }
-            Request::Complete(request, outcome) => {
-                let p = h.request(|reply| {
-                    Message::Command(Command::Complete { request, outcome, reply })
-                });
-                respond(req_id, async move { p.await? }, |out, r| wire::put_receipt(out, r))
-            }
-            Request::RegisterTask(task) => {
-                let p = h.request(|reply| Message::Command(Command::RegisterTask { task, reply }));
-                respond(req_id, p, |_, ()| {})
-            }
-            Request::Flush => {
-                let p = h.request(|reply| Message::Command(Command::Flush { reply }));
-                respond(req_id, async move { p.await? }, |_, ()| {})
-            }
-            Request::Shutdown => {
-                let p = h.request(|reply| Message::Command(Command::Shutdown { reply }));
-                respond(req_id, tolerate_stopped(p), |_, ()| {})
-            }
-            Request::Evaluate(request) => {
-                let p = h.request(|reply| Message::Query(Query::Evaluate { request, reply }));
-                respond(req_id, p, |out, ev| wire::put_evaluated(out, ev))
-            }
-            // `_round_with` answers `Freshness::Snapshot` hits right here on
-            // the reader thread — a ready future, no actor dispatch at all
-            Request::Trustworthiness(peer, task, freshness) => respond(
-                req_id,
-                h.trustworthiness_round_with(peer, task, freshness),
-                wire::put_opt_tw,
-            ),
-            Request::Record(peer, task, freshness) => {
-                respond(req_id, h.record_round_with(peer, task, freshness), wire::put_opt_record)
-            }
-            // a single actor is one shard: every mailbox reply is trivially a
-            // consistent cut, so Aligned needs no barrier here; Snapshot is
-            // served straight off the published replica
-            Request::KnownPeers(freshness) => {
-                let p = h.known_peers_round_with(freshness);
-                respond(
-                    req_id,
-                    async move {
-                        let (epoch, peers) = p.await?;
-                        Ok(Cut { epochs: vec![epoch], value: peers })
-                    },
-                    |out, cut| wire::put_peers_cut(out, cut),
-                )
-            }
-            Request::TaskRecords(task, freshness) => {
-                let p = h.task_records_round_with(task, freshness);
-                respond(
-                    req_id,
-                    async move {
-                        let (epoch, records) = p.await?;
-                        Ok(Cut { epochs: vec![epoch], value: records })
-                    },
-                    |out, cut| wire::put_records_cut(out, cut),
-                )
-            }
-            Request::QueryMany { kind, freshness, items } => {
-                query_many_single(h, req_id, kind, freshness, items)
-            }
-            Request::ShardStats => {
-                let p = h.stats_in();
-                respond(req_id, async move { Ok(vec![p.await?]) }, |out, s| wire::put_stats(out, s))
-            }
-            Request::CommitManySeq { .. } => unreachable!("routed to dispatch_tagged above"),
-        },
-        ServiceEndpoint::Sharded(h) => match request {
-            Request::Commit(completed) => {
-                respond(req_id, h.submit(completed), |out, r| wire::put_receipt(out, r))
-            }
-            Request::CommitMany(batch) => {
-                respond(req_id, h.submit_batch(batch), |out, r| wire::put_receipts(out, r))
-            }
-            Request::Complete(request, outcome) => {
-                let p = h.complete_round(request, outcome);
-                respond(req_id, async move { p.await? }, |out, r| wire::put_receipt(out, r))
-            }
-            Request::RegisterTask(task) => {
-                let fan = h.register_task_round(task);
-                respond(
-                    req_id,
-                    async move {
-                        fan.await?;
-                        Ok(())
-                    },
-                    |_, ()| {},
-                )
-            }
-            Request::Flush => {
-                let fan = h.flush_round();
-                respond(
-                    req_id,
-                    async move {
-                        for result in fan.await? {
-                            result?;
-                        }
-                        Ok(())
-                    },
-                    |_, ()| {},
-                )
-            }
-            Request::Shutdown => {
-                let rounds = h.shutdown_round();
-                respond(
-                    req_id,
-                    async move {
-                        for p in rounds {
-                            tolerate_stopped(p).await?;
-                        }
-                        Ok(())
-                    },
-                    |_, ()| {},
-                )
-            }
-            Request::Evaluate(request) => {
-                respond(req_id, h.evaluate_round(request), |out, ev| wire::put_evaluated(out, ev))
-            }
-            Request::Trustworthiness(peer, task, freshness) => respond(
-                req_id,
-                h.trustworthiness_round_with(peer, task, freshness),
-                wire::put_opt_tw,
-            ),
-            Request::Record(peer, task, freshness) => {
-                respond(req_id, h.record_round_with(peer, task, freshness), wire::put_opt_record)
-            }
-            Request::QueryMany { kind, freshness, items } => {
-                query_many_sharded(h, req_id, kind, freshness, items)
-            }
-            Request::KnownPeers(freshness) => {
-                respond(req_id, h.known_peers_round(freshness), |out, cut| {
-                    wire::put_peers_cut(out, cut)
-                })
-            }
-            Request::TaskRecords(task, freshness) => {
-                respond(req_id, h.task_records_round(task, freshness), |out, cut| {
-                    wire::put_records_cut(out, cut)
-                })
-            }
-            Request::ShardStats => {
-                respond(req_id, h.stats_round(), |out, s| wire::put_stats(out, s))
-            }
-            Request::CommitManySeq { .. } => unreachable!("routed to dispatch_tagged above"),
-        },
+        Request::CommitMany(batch) => {
+            respond(req_id, h.submit_batch(batch), |out, r| wire::put_receipts(out, r))
+        }
+        // tagged commits go through the dedup window: a retried
+        // (session, seq) replays its receipts, never re-folds
+        Request::CommitManySeq { session, seq, batch } => {
+            dispatch_tagged(h, window, req_id, session, seq, batch)
+        }
+        Request::Complete(request, outcome) => {
+            respond(req_id, h.complete(request, outcome), |out, r| wire::put_receipt(out, r))
+        }
+        Request::RegisterTask(task) => respond(req_id, h.register_task(task), |_, ()| {}),
+        Request::Flush => respond(req_id, h.flush(), |_, ()| {}),
+        Request::Shutdown => respond(req_id, h.shutdown(), |_, ()| {}),
+        Request::Evaluate(request) => {
+            respond(req_id, h.evaluate(request), |out, ev| wire::put_evaluated(out, ev))
+        }
+        // `Freshness::Snapshot` hits are answered right here on the reader
+        // thread — a ready future, no actor dispatch at all
+        Request::Trustworthiness(peer, task, freshness) => {
+            respond(req_id, h.trustworthiness_with(peer, task, freshness), wire::put_opt_tw)
+        }
+        Request::Record(peer, task, freshness) => {
+            respond(req_id, h.record_with(peer, task, freshness), wire::put_opt_record)
+        }
+        Request::QueryMany { kind, freshness, items } => {
+            query_many(h, req_id, kind, freshness, items)
+        }
+        Request::KnownPeers(freshness) => {
+            respond(req_id, h.known_peers_cut(freshness), |out, cut| wire::put_peers_cut(out, cut))
+        }
+        Request::TaskRecords(task, freshness) => {
+            respond(req_id, h.task_records_cut(task, freshness), |out, cut| {
+                wire::put_records_cut(out, cut)
+            })
+        }
+        Request::ShardStats => respond(req_id, h.shard_stats(), |out, s| wire::put_stats(out, s)),
     }
 }
 
@@ -545,7 +400,7 @@ fn dispatch<P: LogKey + Hash + Send + Sync + 'static>(
 /// tag replays the cached receipt bytes — the batch folds **at most once**
 /// no matter how many times the client resends it.
 fn dispatch_tagged<P: LogKey + Hash + Send + Sync + 'static>(
-    endpoint: &ServiceEndpoint<P>,
+    h: &ShardedTrustServiceHandle<P>,
     window: &DedupWindow,
     req_id: u64,
     session: u64,
@@ -554,31 +409,17 @@ fn dispatch_tagged<P: LogKey + Hash + Send + Sync + 'static>(
 ) -> RespFuture {
     match window.claim(session, seq) {
         Claim::Mine => {
-            // the fold is dispatched NOW (eager seam, wire order): even if
-            // this connection dies before the receipts resolve, the
-            // window's orphan driver finishes collecting them, so the tag
-            // always becomes replayable
-            let fold: Pin<Box<dyn Future<Output = Result<Vec<u8>, TrustError>> + Send>> =
-                match endpoint {
-                    ServiceEndpoint::Single(h) => {
-                        let p = h.submit_batch(batch);
-                        Box::pin(async move {
-                            let receipts = p.await?;
-                            let mut body = Vec::new();
-                            wire::put_receipts(&mut body, &receipts);
-                            Ok(body)
-                        })
-                    }
-                    ServiceEndpoint::Sharded(h) => {
-                        let p = h.submit_batch(batch);
-                        Box::pin(async move {
-                            let receipts = p.await?;
-                            let mut body = Vec::new();
-                            wire::put_receipts(&mut body, &receipts);
-                            Ok(body)
-                        })
-                    }
-                };
+            // the fold is dispatched NOW (wire order): even if this
+            // connection dies before the receipts resolve, the window's
+            // orphan driver finishes collecting them, so the tag always
+            // becomes replayable
+            let receipts = h.submit_batch(batch);
+            let fold = Box::pin(async move {
+                let receipts = receipts.await?;
+                let mut body = Vec::new();
+                wire::put_receipts(&mut body, &receipts);
+                Ok(body)
+            });
             Box::pin(TaggedCommit {
                 req_id,
                 window: window.clone(),
@@ -608,43 +449,11 @@ fn dispatch_tagged<P: LogKey + Hash + Send + Sync + 'static>(
     }
 }
 
-/// Wraps a service-call future into the response payload: the ok body on
-/// success, the typed wire error otherwise.
-/// Dispatches a [`Request::QueryMany`] batch against a single-actor
-/// endpoint: every item is routed through the eager `_round_with` seam on
-/// this (reader) thread, so snapshot-fresh reads resolve without touching
-/// the actor mailbox, and the rest land in wire arrival order.
-fn query_many_single<P: LogKey + Hash + Send + Sync + 'static>(
-    h: &TrustServiceHandle<P>,
-    req_id: u64,
-    kind: QueryKind,
-    freshness: Freshness,
-    items: Vec<(P, TaskId)>,
-) -> RespFuture {
-    match kind {
-        QueryKind::Trustworthiness => {
-            let pending: Vec<Pending<_>> = items
-                .into_iter()
-                .map(|(peer, task)| h.trustworthiness_round_with(peer, task, freshness))
-                .collect();
-            respond(req_id, FanOut::new(pending, None), |out, tws| wire::put_opt_tws(out, tws))
-        }
-        QueryKind::Record => {
-            let pending: Vec<Pending<_>> = items
-                .into_iter()
-                .map(|(peer, task)| h.record_round_with(peer, task, freshness))
-                .collect();
-            respond(req_id, FanOut::new(pending, None), |out, recs| {
-                wire::put_opt_records(out, recs)
-            })
-        }
-    }
-}
-
-/// Sharded twin of [`query_many_single`]: each item routes to its owning
-/// shard's seam, so one frame can mix snapshot hits (ready immediately)
-/// with mailbox fall-throughs across different shards.
-fn query_many_sharded<P: LogKey + Hash + Send + Sync + 'static>(
+/// Dispatches a [`Request::QueryMany`] batch: each item routes to its
+/// owning shard on this (reader) thread, so one frame can mix snapshot
+/// hits (ready immediately) with mailbox fall-throughs across shards, and
+/// the mailbox reads land in wire arrival order.
+fn query_many<P: LogKey + Hash + Send + Sync + 'static>(
     h: &ShardedTrustServiceHandle<P>,
     req_id: u64,
     kind: QueryKind,
@@ -653,16 +462,16 @@ fn query_many_sharded<P: LogKey + Hash + Send + Sync + 'static>(
 ) -> RespFuture {
     match kind {
         QueryKind::Trustworthiness => {
-            let pending: Vec<Pending<_>> = items
+            let pending = items
                 .into_iter()
-                .map(|(peer, task)| h.trustworthiness_round_with(peer, task, freshness))
+                .map(|(peer, task)| h.trustworthiness_with(peer, task, freshness))
                 .collect();
             respond(req_id, FanOut::new(pending, None), |out, tws| wire::put_opt_tws(out, tws))
         }
         QueryKind::Record => {
-            let pending: Vec<Pending<_>> = items
+            let pending = items
                 .into_iter()
-                .map(|(peer, task)| h.record_round_with(peer, task, freshness))
+                .map(|(peer, task)| h.record_with(peer, task, freshness))
                 .collect();
             respond(req_id, FanOut::new(pending, None), |out, recs| {
                 wire::put_opt_records(out, recs)
@@ -671,6 +480,8 @@ fn query_many_sharded<P: LogKey + Hash + Send + Sync + 'static>(
     }
 }
 
+/// Wraps a service-call future into the response payload: the ok body on
+/// success, the typed wire error otherwise.
 fn respond<T, F, E>(req_id: u64, fut: F, enc: E) -> RespFuture
 where
     T: Send + 'static,
@@ -683,16 +494,4 @@ where
             Err(err) => wire::err_payload(req_id, &err),
         }
     })
-}
-
-/// A stop request against an already-stopped service is success, not an
-/// error — remote `shutdown` stays idempotent across many clients, like
-/// the sharded tier's own.
-async fn tolerate_stopped(
-    p: impl Future<Output = Result<Result<(), TrustError>, TrustError>>,
-) -> Result<(), TrustError> {
-    match p.await {
-        Ok(Ok(())) | Err(TrustError::ServiceStopped) => Ok(()),
-        Ok(Err(e)) | Err(e) => Err(e),
-    }
 }

@@ -66,15 +66,15 @@
 //! observable via [`shard_stats`]: per-shard live mailbox depth plus
 //! drained-commit-batch sizes ([`ShardStats`]).
 //!
-//! [`evaluate`]: ShardedTrustServiceHandle::evaluate
-//! [`commit`]: ShardedTrustServiceHandle::commit
-//! [`submit`]: ShardedTrustServiceHandle::submit
+//! [`evaluate`]: TrustApi::evaluate
+//! [`commit`]: TrustApi::commit
+//! [`submit`]: TrustApi::submit
 //! [`submit_batch`]: ShardedTrustServiceHandle::submit_batch
-//! [`complete`]: ShardedTrustServiceHandle::complete
-//! [`trustworthiness`]: ShardedTrustServiceHandle::trustworthiness
-//! [`record`]: ShardedTrustServiceHandle::record
-//! [`known_peers`]: ShardedTrustServiceHandle::known_peers
-//! [`task_records`]: ShardedTrustServiceHandle::task_records
+//! [`complete`]: TrustApi::complete
+//! [`trustworthiness`]: TrustApi::trustworthiness
+//! [`record`]: TrustApi::record
+//! [`known_peers`]: TrustApi::known_peers
+//! [`task_records`]: TrustApi::task_records
 //! [`shard_stats`]: ShardedTrustServiceHandle::shard_stats
 //!
 //! ```
@@ -107,12 +107,12 @@
 //! ```
 
 use super::{
-    Command, Cut, Message, Pending, Rendezvous, ServiceOptions, ShardStats, TrustService,
+    Command, Cut, Message, Pending, Rendezvous, ServiceOptions, ShardStats, TrustApi, TrustService,
     TrustServiceHandle,
 };
 use crate::backend::TrustBackend;
 use crate::delegation::{
-    CompletedDelegation, Decision, DelegationOutcome, DelegationReceipt, DelegationRequest,
+    CompletedDelegation, DelegationOutcome, DelegationReceipt, DelegationRequest,
     EvaluatedDelegation,
 };
 use crate::error::TrustError;
@@ -190,9 +190,9 @@ pub(crate) fn shard_index<P: Hash>(peer: &P, n: usize) -> usize {
 }
 
 /// A cloneable, `Send` routing handle over every shard of a
-/// [`ShardedTrustService`] — same per-peer API as [`TrustServiceHandle`],
-/// plus fan-out/merge broadcasts. See the [module docs](self) for the
-/// routing rule and the consistency story.
+/// [`ShardedTrustService`] — its [`TrustApi`] routes peer-targeted
+/// operations to the owning shard and fans broadcasts out. See the
+/// [module docs](self) for the routing rule and the consistency story.
 #[derive(Debug)]
 pub struct ShardedTrustServiceHandle<P> {
     shards: Arc<[TrustServiceHandle<P>]>,
@@ -213,7 +213,16 @@ impl<P> Clone for ShardedTrustServiceHandle<P> {
     }
 }
 
-impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
+impl<P> From<TrustServiceHandle<P>> for ShardedTrustServiceHandle<P> {
+    /// A one-shard router over a single actor — how a plain
+    /// [`TrustService`] is served where a routing handle is expected (the
+    /// wire server takes one).
+    fn from(handle: TrustServiceHandle<P>) -> Self {
+        ShardedTrustServiceHandle { shards: Arc::from([handle]), aligner: Arc::default() }
+    }
+}
+
+impl<P: Copy + Ord + Hash + Send + Sync + 'static> ShardedTrustServiceHandle<P> {
     /// How many shards this handle routes over.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -228,15 +237,6 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
 
     fn shard(&self, peer: P) -> &TrustServiceHandle<P> {
         &self.shards[self.shard_of(peer)]
-    }
-
-    // ---- peer-targeted: route to the owning shard, never cross ---------
-
-    /// Eagerly submits one finished session to its owning shard and
-    /// returns the receipt future — pipelines exactly like
-    /// [`TrustServiceHandle::submit`].
-    pub fn submit(&self, completed: CompletedDelegation<P>) -> Pending<DelegationReceipt<P>> {
-        self.shard(completed.trustee()).submit(completed)
     }
 
     /// Splits `batch` into per-shard vectors, ships each as **one**
@@ -286,62 +286,11 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
         }
     }
 
-    /// Commits one finished session on its owning shard and resolves to
-    /// its receipt.
-    pub async fn commit(
-        &self,
-        completed: CompletedDelegation<P>,
-    ) -> Result<DelegationReceipt<P>, TrustError> {
-        self.submit(completed).await
-    }
-
-    /// Runs the §3.3 evaluation inside the shard that owns the request's
-    /// trustee — the shard holds that peer's entire history, so the
-    /// evaluation sees exactly what an unsharded engine would.
-    pub async fn evaluate(
-        &self,
-        request: DelegationRequest<P>,
-    ) -> Result<EvaluatedDelegation<P>, TrustError> {
-        self.shard(request.trustee()).evaluate(request).await
-    }
-
-    /// The eager send of [`evaluate`](Self::evaluate) — the wire server
-    /// dispatches every decoded frame through these `_round` seams so
-    /// per-connection arrival order is fixed into the mailboxes at decode
-    /// time, not at first poll.
-    pub(crate) fn evaluate_round(
-        &self,
-        request: DelegationRequest<P>,
-    ) -> Pending<EvaluatedDelegation<P>> {
-        let shard = self.shard(request.trustee());
-        shard.request(|reply| Message::Query(super::Query::Evaluate { request, reply }))
-    }
-
-    /// The eager send of [`complete`](Self::complete).
-    pub(crate) fn complete_round(
-        &self,
-        request: DelegationRequest<P>,
-        outcome: DelegationOutcome,
-    ) -> Pending<Result<DelegationReceipt<P>, TrustError>> {
-        let shard = self.shard(request.trustee());
-        shard.request(|reply| Message::Command(Command::Complete { request, outcome, reply }))
-    }
-
-    /// [`record`](Self::record) with an explicit [`Freshness`]: under
-    /// [`Freshness::Snapshot`] the owning shard's latest published
-    /// snapshot answers (zero mailbox traffic) while within the staleness
-    /// bound, falling through to the fresh mailbox read otherwise.
-    pub async fn record_with(
-        &self,
-        peer: P,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Result<Option<TrustRecord>, TrustError> {
-        self.record_round_with(peer, task, freshness).await
-    }
-
-    /// The eager send of [`record_with`](Self::record_with).
-    pub(crate) fn record_round_with(
+    /// [`TrustApi::record_with`], sent now to the owning shard: under
+    /// [`Freshness::Snapshot`] the shard's latest published snapshot
+    /// answers (zero mailbox traffic) while within the staleness bound,
+    /// falling through to the fresh mailbox read otherwise.
+    pub fn record_with(
         &self,
         peer: P,
         task: TaskId,
@@ -350,20 +299,9 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
         self.shard(peer).record_round_with(peer, task, freshness)
     }
 
-    /// [`trustworthiness`](Self::trustworthiness) with an explicit
-    /// [`Freshness`] — see [`record_with`](Self::record_with).
-    pub async fn trustworthiness_with(
-        &self,
-        peer: P,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Result<Option<Trustworthiness>, TrustError> {
-        self.trustworthiness_round_with(peer, task, freshness).await
-    }
-
-    /// The eager send of
-    /// [`trustworthiness_with`](Self::trustworthiness_with).
-    pub(crate) fn trustworthiness_round_with(
+    /// [`TrustApi::trustworthiness_with`], sent now to the owning shard —
+    /// see [`record_with`](Self::record_with).
+    pub fn trustworthiness_with(
         &self,
         peer: P,
         task: TaskId,
@@ -381,85 +319,15 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
         )
     }
 
-    /// [`evaluate`](Self::evaluate) carried through to the §3.4 decision.
-    pub async fn delegate(&self, request: DelegationRequest<P>) -> Result<Decision<P>, TrustError> {
-        self.shard(request.trustee()).delegate(request).await
-    }
-
-    /// The whole committed session in one round trip to the owning shard.
-    pub async fn complete(
-        &self,
-        request: DelegationRequest<P>,
-        outcome: DelegationOutcome,
-    ) -> Result<DelegationReceipt<P>, TrustError> {
-        self.shard(request.trustee()).complete(request, outcome).await
-    }
-
-    /// Eq. 18 trustworthiness toward `(peer, task)` from the owning shard.
-    pub async fn trustworthiness(
-        &self,
-        peer: P,
-        task: TaskId,
-    ) -> Result<Option<Trustworthiness>, TrustError> {
-        self.shard(peer).trustworthiness(peer, task).await
-    }
-
-    /// The record for `(peer, task)` from the owning shard.
-    pub async fn record(&self, peer: P, task: TaskId) -> Result<Option<TrustRecord>, TrustError> {
-        self.shard(peer).record(peer, task).await
-    }
-
-    // ---- broadcasts: fan out to every shard, merge ---------------------
-
-    /// Registers (or replaces) a task definition on **every** shard — a
-    /// task is configuration all shards must share, whatever peers they
-    /// own.
-    pub async fn register_task(&self, task: Task) -> Result<(), TrustError> {
-        self.register_task_round(task).await?;
-        Ok(())
-    }
-
-    /// The eager send-round of [`register_task`](Self::register_task):
-    /// every shard's message is enqueued before this returns, which is the
-    /// ordering guarantee the wire server's dispatch thread relies on.
-    pub(crate) fn register_task_round(&self, task: Task) -> FanOut<()> {
-        let pending: Vec<Pending<()>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let task = task.clone();
-                shard.request(|reply| Message::Command(Command::RegisterTask { task, reply }))
-            })
-            .collect();
-        FanOut::new(pending, None)
-    }
-
-    /// Peers with at least one record, across all shards — each exactly
-    /// once, ascending — under [`Freshness::Relaxed`].
-    pub async fn known_peers(&self) -> Result<Vec<P>, TrustError> {
-        self.known_peers_with(Freshness::default()).await
-    }
-
-    /// [`known_peers`](Self::known_peers) with an explicit [`Freshness`].
-    pub async fn known_peers_with(&self, freshness: Freshness) -> Result<Vec<P>, TrustError> {
-        Ok(self.known_peers_round(freshness).await?.value)
-    }
-
-    /// [`known_peers_with`](Self::known_peers_with), answered as an
-    /// epoch-stamped [`Cut`]: the per-shard drain-cycle counters name the
-    /// instant(s) the answer was taken at — under [`Freshness::Aligned`],
-    /// one global instant. The wire tier ships the epochs to remote
-    /// clients verbatim.
-    pub async fn known_peers_cut(&self, freshness: Freshness) -> Result<Cut<Vec<P>>, TrustError> {
-        self.known_peers_round(freshness).await
-    }
-
-    /// The eager send-round of the epoch-stamped broadcast — the sends
-    /// happen *in this call*, the returned future only merges.
-    pub(crate) fn known_peers_round(
+    /// [`TrustApi::known_peers_with`], answered as an epoch-stamped
+    /// [`Cut`]: the per-shard drain-cycle counters name the instant(s) the
+    /// answer was taken at — under [`Freshness::Aligned`], one global
+    /// instant. The sends happen in this call; the future only merges. The
+    /// wire tier ships the epochs to remote clients verbatim.
+    pub fn known_peers_cut(
         &self,
         freshness: Freshness,
-    ) -> impl Future<Output = Result<Cut<Vec<P>>, TrustError>> {
+    ) -> impl Future<Output = Result<Cut<Vec<P>>, TrustError>> + Send + 'static {
         let fan = self.broadcast(
             freshness,
             |shard, align| shard.known_peers_in(align),
@@ -474,37 +342,13 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
         }
     }
 
-    /// Every `(peer, record)` pair held for `task` across all shards,
-    /// ascending by peer, under [`Freshness::Relaxed`].
-    pub async fn task_records(&self, task: TaskId) -> Result<Vec<(P, TrustRecord)>, TrustError> {
-        self.task_records_with(task, Freshness::default()).await
-    }
-
-    /// [`task_records`](Self::task_records) with an explicit [`Freshness`].
-    pub async fn task_records_with(
+    /// [`TrustApi::task_records_with`] as an epoch-stamped [`Cut`] — see
+    /// [`known_peers_cut`](Self::known_peers_cut).
+    pub fn task_records_cut(
         &self,
         task: TaskId,
         freshness: Freshness,
-    ) -> Result<Vec<(P, TrustRecord)>, TrustError> {
-        Ok(self.task_records_round(task, freshness).await?.value)
-    }
-
-    /// [`task_records_with`](Self::task_records_with) as an epoch-stamped
-    /// [`Cut`] — see [`known_peers_cut`](Self::known_peers_cut).
-    pub async fn task_records_cut(
-        &self,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Result<Cut<Vec<(P, TrustRecord)>>, TrustError> {
-        self.task_records_round(task, freshness).await
-    }
-
-    /// The eager send-round of the epoch-stamped broadcast.
-    pub(crate) fn task_records_round(
-        &self,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> impl Future<Output = Result<Cut<Vec<(P, TrustRecord)>>, TrustError>> {
+    ) -> impl Future<Output = Result<Cut<Vec<(P, TrustRecord)>>, TrustError>> + Send + 'static {
         let fan = self.broadcast(
             freshness,
             |shard, align| shard.task_records_in(task, align),
@@ -522,59 +366,15 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
     /// and capacity plus drained-commit-batch bookkeeping. The backpressure
     /// dashboard — a shard whose `mailbox_depth` pins near its
     /// `mailbox_capacity` is the one blocking its submitters.
-    pub async fn shard_stats(&self) -> Result<Vec<ShardStats>, TrustError> {
-        self.stats_round().await
+    pub fn shard_stats(
+        &self,
+    ) -> impl Future<Output = Result<Vec<ShardStats>, TrustError>> + Send + 'static {
+        FanOut::new(self.shards.iter().map(|shard| shard.stats_in()).collect(), None)
     }
 
-    /// The eager send-round of [`shard_stats`](Self::shard_stats).
-    pub(crate) fn stats_round(&self) -> FanOut<ShardStats> {
-        let pending: Vec<Pending<ShardStats>> =
-            self.shards.iter().map(|shard| shard.stats_in()).collect();
-        FanOut::new(pending, None)
-    }
-
-    /// Pushes every shard's engine state down to stable storage.
-    pub async fn flush(&self) -> Result<(), TrustError> {
-        for result in self.flush_round().await? {
-            result?;
-        }
-        Ok(())
-    }
-
-    /// The eager send-round of [`flush`](Self::flush).
-    pub(crate) fn flush_round(&self) -> FanOut<Result<(), TrustError>> {
-        let pending: Vec<Pending<Result<(), TrustError>>> = self
-            .shards
-            .iter()
-            .map(|shard| shard.request(|reply| Message::Command(Command::Flush { reply })))
-            .collect();
-        FanOut::new(pending, None)
-    }
-
-    /// Stops every shard gracefully — each drains its mailbox, folds and
-    /// acks everything queued, flushes its backend, then exits. The
-    /// shutdowns are sent eagerly, so the shards drain in parallel. A
-    /// shard another handle already stopped counts as success; the first
-    /// real flush error is returned.
-    pub async fn shutdown(&self) -> Result<(), TrustError> {
-        let pending = self.shutdown_round();
-        for pending in pending {
-            match pending.await {
-                Ok(Ok(())) | Err(TrustError::ServiceStopped) => {}
-                Ok(Err(e)) => return Err(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// The eager send-round of [`shutdown`](Self::shutdown): every shard's
-    /// stop message is enqueued before this returns.
-    pub(crate) fn shutdown_round(&self) -> Vec<Pending<Result<(), TrustError>>> {
-        self.shards
-            .iter()
-            .map(|shard| shard.request(|reply| Message::Command(Command::Shutdown { reply })))
-            .collect()
+    /// One message per shard, all sent before this returns.
+    fn fan_out<R>(&self, send: impl FnMut(&TrustServiceHandle<P>) -> Pending<R>) -> FanOut<R> {
+        FanOut::new(self.shards.iter().map(send).collect(), None)
     }
 
     /// One broadcast round: send the query to every shard (with a shared
@@ -590,19 +390,12 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
         mut snap: impl FnMut(&super::ReadSnapshot<P>) -> R,
     ) -> FanOut<R> {
         match freshness {
-            Freshness::Relaxed => {
-                FanOut::new(self.shards.iter().map(|shard| send(shard, None)).collect(), None)
-            }
-            Freshness::Snapshot { max_epoch_lag } => {
-                let pending = self
-                    .shards
-                    .iter()
-                    .map(|shard| match shard.slot().fresh_within(max_epoch_lag) {
-                        Some(snapshot) => Pending::ready(snap(&snapshot)),
-                        None => send(shard, None),
-                    })
-                    .collect();
-                FanOut::new(pending, None)
+            Freshness::Relaxed => self.fan_out(|shard| send(shard, None)),
+            Freshness::Snapshot { .. } => {
+                self.fan_out(|shard| match shard.snapshot_for(freshness) {
+                    Some(snapshot) => Pending::ready(snap(&snapshot)),
+                    None => send(shard, None),
+                })
             }
             Freshness::Aligned => {
                 let rv = Rendezvous::new(self.shards.len());
@@ -616,6 +409,119 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
                     self.shards.iter().map(|shard| send(shard, Some(Arc::clone(&rv)))).collect();
                 FanOut::new(pending, Some(rv))
             }
+        }
+    }
+}
+
+/// Every operation sends now — peer-targeted ones to the owning shard,
+/// broadcasts to every shard — so the order of calls is the order each
+/// mailbox sees, which the wire server relies on to keep a connection's
+/// requests in arrival order.
+impl<P: Copy + Ord + Hash + Send + Sync + 'static> TrustApi<P> for ShardedTrustServiceHandle<P> {
+    fn submit(
+        &self,
+        completed: CompletedDelegation<P>,
+    ) -> impl Future<Output = Result<DelegationReceipt<P>, TrustError>> + Send + 'static {
+        self.shard(completed.trustee()).submit(completed)
+    }
+
+    fn submit_batch(
+        &self,
+        batch: Vec<CompletedDelegation<P>>,
+    ) -> impl Future<Output = Result<Vec<DelegationReceipt<P>>, TrustError>> + Send + 'static {
+        ShardedTrustServiceHandle::submit_batch(self, batch)
+    }
+
+    /// Runs inside the shard that owns the request's trustee — it holds
+    /// that peer's entire history, so the evaluation sees exactly what an
+    /// unsharded engine would.
+    fn evaluate(
+        &self,
+        request: DelegationRequest<P>,
+    ) -> impl Future<Output = Result<EvaluatedDelegation<P>, TrustError>> + Send + 'static {
+        self.shard(request.trustee()).evaluate(request)
+    }
+
+    fn complete(
+        &self,
+        request: DelegationRequest<P>,
+        outcome: DelegationOutcome,
+    ) -> impl Future<Output = Result<DelegationReceipt<P>, TrustError>> + Send + 'static {
+        self.shard(request.trustee()).complete(request, outcome)
+    }
+
+    /// A task is configuration every shard must share, whatever peers it
+    /// owns: the definition is broadcast.
+    fn register_task(
+        &self,
+        task: Task,
+    ) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        let registered = self.fan_out(|shard| {
+            let task = task.clone();
+            shard.request(|reply| Message::Command(Command::RegisterTask { task, reply }))
+        });
+        async move {
+            registered.await?;
+            Ok(())
+        }
+    }
+
+    fn record_with(
+        &self,
+        peer: P,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Option<TrustRecord>, TrustError>> + Send + 'static {
+        ShardedTrustServiceHandle::record_with(self, peer, task, freshness)
+    }
+
+    fn trustworthiness_with(
+        &self,
+        peer: P,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Option<Trustworthiness>, TrustError>> + Send + 'static {
+        ShardedTrustServiceHandle::trustworthiness_with(self, peer, task, freshness)
+    }
+
+    fn known_peers_with(
+        &self,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Vec<P>, TrustError>> + Send + 'static {
+        let cut = self.known_peers_cut(freshness);
+        async move { Ok(cut.await?.value) }
+    }
+
+    fn task_records_with(
+        &self,
+        task: TaskId,
+        freshness: Freshness,
+    ) -> impl Future<Output = Result<Vec<(P, TrustRecord)>, TrustError>> + Send + 'static {
+        let cut = self.task_records_cut(task, freshness);
+        async move { Ok(cut.await?.value) }
+    }
+
+    fn shard_stats(
+        &self,
+    ) -> impl Future<Output = Result<Vec<ShardStats>, TrustError>> + Send + 'static {
+        ShardedTrustServiceHandle::shard_stats(self)
+    }
+
+    fn flush(&self) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        let flushed =
+            self.fan_out(|shard| shard.request(|reply| Message::Command(Command::Flush { reply })));
+        async move { flushed.await?.into_iter().collect() }
+    }
+
+    /// The stops are sent to every shard at once, so the shards drain in
+    /// parallel; the first flush error is returned.
+    fn shutdown(&self) -> impl Future<Output = Result<(), TrustError>> + Send + 'static {
+        let stops: Vec<_> = self.shards.iter().map(TrustServiceHandle::stop).collect();
+        async move {
+            for stop in stops {
+                stop.await?;
+            }
+            Ok(())
         }
     }
 }
@@ -725,8 +631,7 @@ where
     /// via [`TrustEngine::open_shard`] (use
     /// [`try_spawn_sharded`](Self::try_spawn_sharded) when construction
     /// can fail). Register shared task definitions either in the closure
-    /// or once through
-    /// [`register_task`](ShardedTrustServiceHandle::register_task).
+    /// or once through [`TrustApi::register_task`].
     pub fn spawn_sharded(
         shards: usize,
         options: ServiceOptions,
@@ -797,22 +702,12 @@ where
     /// whose final flush failed, that error is returned (remaining engines
     /// are dropped, their journals flushing on drop as usual).
     pub fn shutdown(self) -> Result<Vec<TrustEngine<P, B>>, TrustError> {
-        let stops: Vec<Pending<Result<(), TrustError>>> = self
-            .handle
-            .shards
-            .iter()
-            .map(|shard| shard.request(|reply| Message::Command(Command::Shutdown { reply })))
-            .collect();
+        let stops: Vec<_> = self.handle.shards.iter().map(TrustServiceHandle::stop).collect();
         let mut engines = Vec::with_capacity(self.services.len());
         for (service, stop) in self.services.into_iter().zip(stops) {
             let flushed = super::block_on(stop);
-            let engine = service.thread.join().map_err(|_| TrustError::WorkerPanicked)?;
-            match flushed {
-                // ServiceStopped: a concurrent handle already stopped this
-                // shard — the drain and flush still happened
-                Ok(Ok(())) | Err(TrustError::ServiceStopped) => engines.push(engine),
-                Ok(Err(e)) | Err(e) => return Err(e),
-            }
+            engines.push(service.thread.join().map_err(|_| TrustError::WorkerPanicked)?);
+            flushed?;
         }
         Ok(engines)
     }

@@ -8,63 +8,19 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 
 use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
-use siot_core::environment::EnvIndicator;
 use siot_core::framing::StreamDecoder;
 use siot_core::prelude::*;
 use siot_core::service::block_on;
 
 mod common;
-use common::tmpdir;
-
-/// One commit a worker plays: (trustee-in-worker-range, observation,
-/// abusive flag, environment).
-type Step = (u32, Observation, u32, f64);
-
-fn unit() -> impl Strategy<Value = f64> {
-    0.0..=1.0f64
-}
-
-fn observation() -> impl Strategy<Value = Observation> {
-    (unit(), unit(), unit(), unit()).prop_map(|(s, g, d, c)| Observation {
-        success_rate: s,
-        gain: g,
-        damage: d,
-        cost: c,
-    })
-}
-
-/// Three workers' commit streams with disjoint peer key spaces, so any
-/// interleaving must land on the same per-key state as a sequential fold.
-fn streams() -> impl Strategy<Value = Vec<Vec<Step>>> {
-    prop::collection::vec(
-        prop::collection::vec((0u32..5, observation(), 0u32..2, 0.05..=1.0f64), 1..25),
-        3..4,
-    )
-}
-
-fn task() -> Task {
-    Task::uniform(TaskId(0), [CharacteristicId(0)]).expect("non-empty task")
-}
-
-fn completed(worker: usize, step: &Step) -> CompletedDelegation<u32> {
-    let &(trustee, ref obs, abusive, env) = step;
-    let t = task();
-    let scratch: TrustStore<u32> = TrustStore::new();
-    let request = DelegationRequest::new(
-        worker as u32 * 100 + trustee,
-        &t,
-        Goal::ANY,
-        Context::new(t.id(), EnvIndicator::new(env).expect("generated in (0, 1]")),
-    );
-    let outcome = DelegationOutcome::observed(*obs);
-    let outcome = if abusive == 1 { outcome.abusive() } else { outcome };
-    request.committed().activate(&scratch).finish(outcome).expect("generated in-range")
-}
+use common::{
+    completed, play_streams, run_sequential, sample_step, shards_bit_identical, streams, task,
+    tmpdir, Step,
+};
 
 /// Plays every worker stream through its **own TCP connection** to a
-/// server fronting a sharded fleet (pipelined submits, receipts awaited
-/// at the end) and returns the per-shard engines the local shutdown
-/// hands back.
+/// server fronting a sharded fleet and returns the per-shard engines the
+/// local shutdown hands back.
 fn run_remote_sharded<B, F>(
     shards: usize,
     make_engine: F,
@@ -81,20 +37,12 @@ where
     );
     let server =
         RemoteTrustServer::bind(("127.0.0.1", 0), service.handle()).expect("loopback bind");
-    let addr = server.local_addr();
-    std::thread::scope(|scope| {
-        for (worker, stream) in streams.iter().enumerate() {
-            scope.spawn(move || {
-                let remote: RemoteTrustServiceHandle<u32> =
-                    RemoteTrustServiceHandle::connect(addr).expect("loopback connect");
-                let pending: Vec<_> =
-                    stream.iter().map(|step| remote.submit(completed(worker, step))).collect();
-                for p in pending {
-                    block_on(p).expect("service alive until every worker finished");
-                }
-            });
-        }
-    });
+    let remotes: Vec<RemoteTrustServiceHandle<u32>> = streams
+        .iter()
+        .map(|_| RemoteTrustServiceHandle::connect(server.local_addr()).expect("loopback connect"))
+        .collect();
+    play_streams(&remotes, streams);
+    drop(remotes);
     server.shutdown();
     service.shutdown().expect("clean shutdown")
 }
@@ -127,54 +75,8 @@ fn run_local_sharded(shards: usize, streams: &[Vec<Step>]) -> Vec<TrustStore<u32
         ServiceOptions { mailbox: 8, ..ServiceOptions::default() },
         |_| TrustStore::<u32>::new(),
     );
-    std::thread::scope(|scope| {
-        for (worker, stream) in streams.iter().enumerate() {
-            let handle = service.handle();
-            scope.spawn(move || {
-                let pending: Vec<_> =
-                    stream.iter().map(|step| handle.submit(completed(worker, step))).collect();
-                for p in pending {
-                    block_on(p).expect("shards alive");
-                }
-            });
-        }
-    });
+    play_streams(&[service.handle()], streams);
     service.shutdown().expect("clean shutdown")
-}
-
-/// The sequential reference: the same commits via `commit_batch`.
-fn run_sequential(streams: &[Vec<Step>]) -> TrustStore<u32> {
-    let mut engine: TrustStore<u32> = TrustStore::new();
-    for (worker, stream) in streams.iter().enumerate() {
-        let batch: Vec<_> = stream.iter().map(|step| completed(worker, step)).collect();
-        engine.commit_batch(batch, &ServiceOptions::default().betas);
-    }
-    engine
-}
-
-/// The fleet, merged, is bit-identical to the reference.
-fn shards_bit_identical<A: TrustBackend<u32>, B: TrustBackend<u32>>(
-    shards: &[TrustEngine<u32, A>],
-    reference: &TrustEngine<u32, B>,
-) -> Result<(), TestCaseError> {
-    let mut peers: Vec<u32> = shards.iter().flat_map(|e| e.known_peers()).collect();
-    peers.sort_unstable();
-    prop_assert_eq!(peers, reference.known_peers());
-    for shard in shards {
-        for peer in shard.known_peers() {
-            prop_assert_eq!(shard.usage_log(peer), reference.usage_log(peer));
-            let (a, b) = (shard.record(peer, TaskId(0)), reference.record(peer, TaskId(0)));
-            prop_assert_eq!(a.is_some(), b.is_some());
-            if let (Some(ra), Some(rb)) = (a, b) {
-                prop_assert_eq!(ra.s_hat.to_bits(), rb.s_hat.to_bits());
-                prop_assert_eq!(ra.g_hat.to_bits(), rb.g_hat.to_bits());
-                prop_assert_eq!(ra.d_hat.to_bits(), rb.d_hat.to_bits());
-                prop_assert_eq!(ra.c_hat.to_bits(), rb.c_hat.to_bits());
-                prop_assert_eq!(ra.interactions, rb.interactions);
-            }
-        }
-    }
-    Ok(())
 }
 
 proptest! {
@@ -236,10 +138,6 @@ fn serve_fleet() -> (ShardedTrustService<u32>, RemoteTrustServer) {
     let server =
         RemoteTrustServer::bind(("127.0.0.1", 0), service.handle()).expect("loopback bind");
     (service, server)
-}
-
-fn sample_step() -> Step {
-    (1, Observation { success_rate: 0.875, gain: 0.5, damage: 0.0, cost: 0.125 }, 0, 1.0)
 }
 
 /// The full query surface over the wire matches the local handle answer

@@ -13,57 +13,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use siot_core::environment::EnvIndicator;
 use siot_core::prelude::*;
 use siot_core::service::block_on;
 
 mod common;
-use common::tmpdir;
-
-/// One commit a worker plays: (trustee-in-worker-range, observation,
-/// abusive flag, environment).
-type Step = (u32, Observation, u32, f64);
-
-fn unit() -> impl Strategy<Value = f64> {
-    0.0..=1.0f64
-}
-
-fn observation() -> impl Strategy<Value = Observation> {
-    (unit(), unit(), unit(), unit()).prop_map(|(s, g, d, c)| Observation {
-        success_rate: s,
-        gain: g,
-        damage: d,
-        cost: c,
-    })
-}
-
-/// Three workers' commit streams over disjoint key spaces (peer =
-/// `worker · 100 + trustee`), as in the other service suites.
-fn streams() -> impl Strategy<Value = Vec<Vec<Step>>> {
-    prop::collection::vec(
-        prop::collection::vec((0u32..5, observation(), 0u32..2, 0.05..=1.0f64), 1..25),
-        3..4,
-    )
-}
-
-fn task() -> Task {
-    Task::uniform(TaskId(0), [CharacteristicId(0)]).expect("non-empty task")
-}
-
-fn completed(worker: usize, step: &Step) -> CompletedDelegation<u32> {
-    let &(trustee, ref obs, abusive, env) = step;
-    let t = task();
-    let scratch: TrustStore<u32> = TrustStore::new();
-    let request = DelegationRequest::new(
-        worker as u32 * 100 + trustee,
-        &t,
-        Goal::ANY,
-        Context::new(t.id(), EnvIndicator::new(env).expect("generated in (0, 1]")),
-    );
-    let outcome = DelegationOutcome::observed(*obs);
-    let outcome = if abusive == 1 { outcome.abusive() } else { outcome };
-    request.committed().activate(&scratch).finish(outcome).expect("generated in-range")
-}
+use common::{completed, play_streams, streams, task, tmpdir};
 
 /// A fixed in-range commit for `peer` — the deterministic tests' step.
 fn completed_for(peer: u32) -> CompletedDelegation<u32> {
@@ -128,14 +82,6 @@ fn snapshot_matches_fresh(handle: &ShardedTrustServiceHandle<u32>) -> Result<(),
     Ok(())
 }
 
-/// Plays every stream through pipelined batch submits, all awaited.
-fn commit_all(handle: &ShardedTrustServiceHandle<u32>, streams: &[Vec<Step>]) {
-    for (worker, stream) in streams.iter().enumerate() {
-        let batch: Vec<_> = stream.iter().map(|step| completed(worker, step)).collect();
-        block_on(handle.submit_batch(batch)).expect("batch commits");
-    }
-}
-
 proptest! {
     // every case spawns actors (and for the wire case a TCP server); keep
     // the count sane
@@ -151,7 +97,7 @@ proptest! {
             |_| TrustStore::<u32>::new(),
         );
         let handle = service.handle();
-        commit_all(&handle, &streams);
+        play_streams(std::slice::from_ref(&handle),&streams);
         snapshot_matches_fresh(&handle)?;
         service.shutdown().expect("clean shutdown");
     }
@@ -172,7 +118,7 @@ proptest! {
         );
         let service = spawn();
         let handle = service.handle();
-        commit_all(&handle, &streams);
+        play_streams(std::slice::from_ref(&handle),&streams);
         snapshot_matches_fresh(&handle)?;
         let stored: Vec<usize> = service
             .shutdown()
@@ -189,7 +135,7 @@ proptest! {
             prop_assert!(snap.known_peers().windows(2).all(|pair| pair[0] < pair[1]));
         }
         snapshot_matches_fresh(&handle)?;
-        commit_all(&handle, &more);
+        play_streams(std::slice::from_ref(&handle),&more);
         snapshot_matches_fresh(&handle)?;
         service.shutdown().expect("clean shutdown");
         std::fs::remove_dir_all(&root).expect("scratch removable");
@@ -283,7 +229,7 @@ fn staleness_bound_honored_and_too_stale_falls_through() {
 
     // commit 1: one mutating drain, below the publish threshold
     block_on(handle.submit(completed_for(7))).expect("commit 1");
-    assert_eq!(block_on(handle.stats()).expect("stats").published_epoch, 0);
+    assert_eq!(block_on(handle.shard_stats()).expect("stats")[0].published_epoch, 0);
     // lag 1 ≤ 16: the (empty, epoch-0) snapshot answers
     assert_eq!(
         block_on(handle.record_with(7, TaskId(0), Freshness::snapshot(16))).expect("read"),
@@ -296,11 +242,11 @@ fn staleness_bound_honored_and_too_stale_falls_through() {
         .expect("fall-through sees the commit");
     assert_eq!(fresh.interactions, 1);
     // read-only traffic advances neither the fold epoch nor the snapshot
-    assert_eq!(block_on(handle.stats()).expect("stats").published_epoch, 0);
+    assert_eq!(block_on(handle.shard_stats()).expect("stats")[0].published_epoch, 0);
 
     // commit 2: lag is now exactly 2
     block_on(handle.submit(completed_for(7))).expect("commit 2");
-    assert_eq!(block_on(handle.stats()).expect("stats").published_epoch, 0);
+    assert_eq!(block_on(handle.shard_stats()).expect("stats")[0].published_epoch, 0);
     assert_eq!(
         block_on(handle.record_with(7, TaskId(0), Freshness::snapshot(2))).expect("read"),
         None,
@@ -316,7 +262,7 @@ fn staleness_bound_honored_and_too_stale_falls_through() {
 
     // commit 3: the third mutating drain publishes — lag snaps to 0
     block_on(handle.submit(completed_for(7))).expect("commit 3");
-    let stats = block_on(handle.stats()).expect("stats");
+    let stats = block_on(handle.shard_stats()).expect("stats")[0];
     assert!(stats.published_epoch > 0, "third mutating drain published");
     let snap = handle.read_snapshot();
     assert_eq!(snap.epoch(), stats.published_epoch);

@@ -4,119 +4,32 @@
 
 use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
-use siot_core::environment::EnvIndicator;
 use siot_core::log_backend::{FsyncPolicy, LogOptions};
 use siot_core::prelude::*;
 use siot_core::service::{block_on, ServiceOptions, TrustService};
 
 mod common;
-use common::tmpdir;
+use common::{completed, play_streams, run_sequential, shards_bit_identical, streams, tmpdir};
 
-/// One commit a worker plays: (trustee-in-worker-range, observation,
-/// abusive flag, environment).
-type Step = (u32, Observation, u32, f64);
-
-fn unit() -> impl Strategy<Value = f64> {
-    0.0..=1.0f64
-}
-
-fn observation() -> impl Strategy<Value = Observation> {
-    (unit(), unit(), unit(), unit()).prop_map(|(s, g, d, c)| Observation {
-        success_rate: s,
-        gain: g,
-        damage: d,
-        cost: c,
-    })
-}
-
-/// Three workers' commit streams. Worker key spaces are disjoint (peer =
-/// `worker · 100 + trustee`), so *any* interleaving of the workers must
-/// land on the same per-key state as playing the streams sequentially.
-fn streams() -> impl Strategy<Value = Vec<Vec<Step>>> {
-    prop::collection::vec(
-        prop::collection::vec((0u32..5, observation(), 0u32..2, 0.05..=1.0f64), 1..25),
-        3..4,
-    )
-}
-
-fn task() -> Task {
-    Task::uniform(TaskId(0), [CharacteristicId(0)]).expect("non-empty task")
-}
-
-/// Builds the one-shot wire unit for one step: a committed session
-/// finished with the step's outcome (validated at `finish`, like every
-/// live interaction).
-fn completed(worker: usize, step: &Step) -> CompletedDelegation<u32> {
-    let &(trustee, ref obs, abusive, env) = step;
-    let t = task();
-    let scratch: TrustStore<u32> = TrustStore::new();
-    let request = DelegationRequest::new(
-        worker as u32 * 100 + trustee,
-        &t,
-        Goal::ANY,
-        Context::new(t.id(), EnvIndicator::new(env).expect("generated in (0, 1]")),
-    );
-    let outcome = DelegationOutcome::observed(*obs);
-    let outcome = if abusive == 1 { outcome.abusive() } else { outcome };
-    request.committed().activate(&scratch).finish(outcome).expect("generated in-range")
-}
-
-/// Plays every worker stream concurrently through handle clones
-/// (pipelined submits, receipts awaited at the end) and returns the
-/// engine the shutdown hands back.
+/// Plays every worker stream concurrently through one actor and returns
+/// the engine the shutdown hands back.
 fn run_concurrent<B: TrustBackend<u32> + Send + 'static>(
     engine: TrustEngine<u32, B>,
-    streams: &[Vec<Step>],
+    streams: &[Vec<common::Step>],
 ) -> TrustEngine<u32, B> {
     // a deliberately small mailbox so the streams exercise backpressure
     // and multi-drain batching, not one giant drain
     let service =
         TrustService::spawn(engine, ServiceOptions { mailbox: 8, ..ServiceOptions::default() });
-    std::thread::scope(|scope| {
-        for (worker, stream) in streams.iter().enumerate() {
-            let handle = service.handle();
-            scope.spawn(move || {
-                let pending: Vec<_> =
-                    stream.iter().map(|step| handle.submit(completed(worker, step))).collect();
-                for p in pending {
-                    block_on(p).expect("service alive until every worker finished");
-                }
-            });
-        }
-    });
+    play_streams(&[service.handle()], streams);
     service.shutdown().expect("clean shutdown")
-}
-
-/// The reference: the same commits applied sequentially via
-/// `commit_batch`, worker by worker.
-fn run_sequential(streams: &[Vec<Step>]) -> TrustStore<u32> {
-    let mut engine: TrustStore<u32> = TrustStore::new();
-    for (worker, stream) in streams.iter().enumerate() {
-        let batch: Vec<_> = stream.iter().map(|step| completed(worker, step)).collect();
-        engine.commit_batch(batch, &ServiceOptions::default().betas);
-    }
-    engine
 }
 
 fn bit_identical<A: TrustBackend<u32>, B: TrustBackend<u32>>(
     x: &TrustEngine<u32, A>,
     y: &TrustEngine<u32, B>,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(x.record_count(), y.record_count());
-    prop_assert_eq!(x.known_peers(), y.known_peers());
-    for peer in x.known_peers() {
-        prop_assert_eq!(x.usage_log(peer), y.usage_log(peer));
-        let (a, b) = (x.record(peer, TaskId(0)), y.record(peer, TaskId(0)));
-        prop_assert_eq!(a.is_some(), b.is_some());
-        if let (Some(ra), Some(rb)) = (a, b) {
-            prop_assert_eq!(ra.s_hat.to_bits(), rb.s_hat.to_bits());
-            prop_assert_eq!(ra.g_hat.to_bits(), rb.g_hat.to_bits());
-            prop_assert_eq!(ra.d_hat.to_bits(), rb.d_hat.to_bits());
-            prop_assert_eq!(ra.c_hat.to_bits(), rb.c_hat.to_bits());
-            prop_assert_eq!(ra.interactions, rb.interactions);
-        }
-    }
-    Ok(())
+    shards_bit_identical(std::slice::from_ref(x), y)
 }
 
 proptest! {

@@ -6,62 +6,14 @@
 
 use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
-use siot_core::environment::EnvIndicator;
 use siot_core::prelude::*;
 use siot_core::service::{block_on, ServiceOptions, TrustService};
 
 mod common;
-use common::tmpdir;
+use common::{play_streams, run_sequential, shards_bit_identical, streams, task, tmpdir, Step};
 
-/// One commit a worker plays: (trustee-in-worker-range, observation,
-/// abusive flag, environment).
-type Step = (u32, Observation, u32, f64);
-
-fn unit() -> impl Strategy<Value = f64> {
-    0.0..=1.0f64
-}
-
-fn observation() -> impl Strategy<Value = Observation> {
-    (unit(), unit(), unit(), unit()).prop_map(|(s, g, d, c)| Observation {
-        success_rate: s,
-        gain: g,
-        damage: d,
-        cost: c,
-    })
-}
-
-/// Three workers' commit streams over disjoint key spaces (peer =
-/// `worker · 100 + trustee`), as in the single-actor suite — any
-/// interleaving must land on the same per-key state as sequential play.
-fn streams() -> impl Strategy<Value = Vec<Vec<Step>>> {
-    prop::collection::vec(
-        prop::collection::vec((0u32..5, observation(), 0u32..2, 0.05..=1.0f64), 1..25),
-        3..4,
-    )
-}
-
-fn task() -> Task {
-    Task::uniform(TaskId(0), [CharacteristicId(0)]).expect("non-empty task")
-}
-
-fn completed(worker: usize, step: &Step) -> CompletedDelegation<u32> {
-    let &(trustee, ref obs, abusive, env) = step;
-    let t = task();
-    let scratch: TrustStore<u32> = TrustStore::new();
-    let request = DelegationRequest::new(
-        worker as u32 * 100 + trustee,
-        &t,
-        Goal::ANY,
-        Context::new(t.id(), EnvIndicator::new(env).expect("generated in (0, 1]")),
-    );
-    let outcome = DelegationOutcome::observed(*obs);
-    let outcome = if abusive == 1 { outcome.abusive() } else { outcome };
-    request.committed().activate(&scratch).finish(outcome).expect("generated in-range")
-}
-
-/// Plays every worker stream concurrently through routing-handle clones
-/// (pipelined submits, receipts awaited at the end) and returns the
-/// per-shard engines the shutdown hands back.
+/// Plays every worker stream concurrently through a routing handle and
+/// returns the per-shard engines the shutdown hands back.
 fn run_sharded<B, F>(
     shards: usize,
     make_engine: F,
@@ -78,18 +30,7 @@ where
         ServiceOptions { mailbox: 8, ..ServiceOptions::default() },
         make_engine,
     );
-    std::thread::scope(|scope| {
-        for (worker, stream) in streams.iter().enumerate() {
-            let handle = service.handle();
-            scope.spawn(move || {
-                let pending: Vec<_> =
-                    stream.iter().map(|step| handle.submit(completed(worker, step))).collect();
-                for p in pending {
-                    block_on(p).expect("shards alive until every worker finished");
-                }
-            });
-        }
-    });
+    play_streams(&[service.handle()], streams);
     service.shutdown().expect("clean shutdown")
 }
 
@@ -99,60 +40,8 @@ fn run_single_actor(streams: &[Vec<Step>]) -> TrustStore<u32> {
         TrustStore::<u32>::new(),
         ServiceOptions { mailbox: 8, ..ServiceOptions::default() },
     );
-    std::thread::scope(|scope| {
-        for (worker, stream) in streams.iter().enumerate() {
-            let handle = service.handle();
-            scope.spawn(move || {
-                let pending: Vec<_> =
-                    stream.iter().map(|step| handle.submit(completed(worker, step))).collect();
-                for p in pending {
-                    block_on(p).expect("service alive");
-                }
-            });
-        }
-    });
+    play_streams(&[service.handle()], streams);
     service.shutdown().expect("clean shutdown")
-}
-
-/// The sequential reference: the same commits via `commit_batch`.
-fn run_sequential(streams: &[Vec<Step>]) -> TrustStore<u32> {
-    let mut engine: TrustStore<u32> = TrustStore::new();
-    for (worker, stream) in streams.iter().enumerate() {
-        let batch: Vec<_> = stream.iter().map(|step| completed(worker, step)).collect();
-        engine.commit_batch(batch, &ServiceOptions::default().betas);
-    }
-    engine
-}
-
-/// The sharded fleet, merged, is bit-identical to the reference: same
-/// peers overall, and per peer the same usage log and the same record to
-/// the last mantissa bit.
-fn shards_bit_identical<A: TrustBackend<u32>, B: TrustBackend<u32>>(
-    shards: &[TrustEngine<u32, A>],
-    reference: &TrustEngine<u32, B>,
-) -> Result<(), TestCaseError> {
-    let mut peers: Vec<u32> = shards.iter().flat_map(|e| e.known_peers()).collect();
-    peers.sort_unstable();
-    prop_assert_eq!(peers, reference.known_peers());
-    prop_assert_eq!(
-        shards.iter().map(|e| e.record_count()).sum::<usize>(),
-        reference.record_count()
-    );
-    for shard in shards {
-        for peer in shard.known_peers() {
-            prop_assert_eq!(shard.usage_log(peer), reference.usage_log(peer));
-            let (a, b) = (shard.record(peer, TaskId(0)), reference.record(peer, TaskId(0)));
-            prop_assert_eq!(a.is_some(), b.is_some());
-            if let (Some(ra), Some(rb)) = (a, b) {
-                prop_assert_eq!(ra.s_hat.to_bits(), rb.s_hat.to_bits());
-                prop_assert_eq!(ra.g_hat.to_bits(), rb.g_hat.to_bits());
-                prop_assert_eq!(ra.d_hat.to_bits(), rb.d_hat.to_bits());
-                prop_assert_eq!(ra.c_hat.to_bits(), rb.c_hat.to_bits());
-                prop_assert_eq!(ra.interactions, rb.interactions);
-            }
-        }
-    }
-    Ok(())
 }
 
 proptest! {

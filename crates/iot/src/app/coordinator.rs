@@ -28,22 +28,19 @@ use crate::network::{Application, Ctx};
 use crate::time::SimTime;
 use siot_core::backend::{ShardedBackend, TrustBackend};
 use siot_core::context::Context;
-use siot_core::delegation::{
-    CompletedDelegation, DelegationOutcome, DelegationReceipt, DelegationRequest,
-};
+use siot_core::delegation::{DelegationOutcome, DelegationReceipt, DelegationRequest};
 use siot_core::error::TrustError;
 use siot_core::goal::Goal;
 use siot_core::log_backend::LogBackend;
-use siot_core::record::{ForgettingFactors, Observation, TrustRecord};
-use siot_core::service::{
-    block_on, FleetTrustHandle, Freshness, Pending, RemotePending, RemoteTrustServiceHandle,
-    ShardedTrustServiceHandle, TrustServiceHandle,
-};
+use siot_core::record::{ForgettingFactors, Observation};
+use siot_core::service::{block_on, Freshness, TrustApi};
 use siot_core::store::TrustEngine;
 use siot_core::task::{CharacteristicId, Task, TaskId};
 use std::any::Any;
 use std::cell::RefCell;
+use std::future::Future;
 use std::path::Path;
+use std::pin::Pin;
 
 /// Reports do not carry a task id, so the fleet ledger files everything
 /// under one synthetic task.
@@ -202,12 +199,11 @@ impl<B: TrustBackend<DeviceId> + 'static> Application for CoordinatorApp<B> {
 // ---------------------------------------------------------------------------
 
 /// The coordinator's **service-backed mode**: instead of owning a ledger
-/// engine, the coordinator holds a
-/// [`TrustServiceHandle`] and forwards every trustor report through it as
-/// a completed delegation session — the trustors' feedback literally goes
-/// through the handle, and the
-/// [`TrustService`](siot_core::service::TrustService) actor owns the
-/// engine on its own thread.
+/// engine, the coordinator holds a trust-service handle — any
+/// [`TrustApi`] tier — and forwards every trustor report through it as a
+/// completed delegation session: the trustors' feedback literally goes
+/// through the handle, and the service's actors own the engine on their
+/// own threads.
 ///
 /// What that buys over [`CoordinatorApp`]:
 ///
@@ -216,41 +212,29 @@ impl<B: TrustBackend<DeviceId> + 'static> Application for CoordinatorApp<B> {
 ///   the same engine concurrently, and the actor serializes them;
 /// * the coordinator's event loop never folds — and never *waits*:
 ///   reports are built into completed sessions locally and **submitted
-///   without awaiting** ([`TrustServiceHandle::submit`]), so the actor's
-///   drain finds real batches and each `Report` frame costs one channel
-///   send, not a cross-thread round trip;
+///   without awaiting** ([`TrustApi::submit`]), so the actor's drain finds
+///   real batches and each `Report` frame costs one send, not a round
+///   trip;
 /// * durability is the service's problem: spawn it over a
 ///   [`LogBackend`] engine and the service's graceful shutdown drains +
-///   flushes, so every acked report survives a restart.
+///   flushes, so every acked report survives a restart;
+/// * the tier is the deployment's choice: one actor, a sharded service
+///   (each report routes to the shard owning the selected trustee, so the
+///   shard count is the write-throughput knob), a service in another
+///   process over TCP, or a fleet of such processes (reports commit with
+///   an idempotency tag, so a report retried across a node restart
+///   replays instead of double-counting, and a down node costs only its
+///   own trustees' reports).
 ///
 /// Receipts are settled lazily — on [`Self::settle`],
-/// [`Self::sync_ledger`], [`Self::trustee_ranking`], or drop. Reads are
-/// still consistent without settling first: the ranking queries travel
-/// the same FIFO mailbox as the submitted commits, so they observe every
-/// prior report. Reports the service refused (it was shut down underneath
-/// the coordinator) are counted by [`Self::rejected`] instead of silently
-/// vanishing.
-///
-/// The ledger can also be a **sharded** fleet: [`Self::sharded`] takes a
-/// [`ShardedTrustServiceHandle`], so the shard count is the coordinator's
-/// scaling knob — each report routes straight to the shard owning the
-/// selected trustee, and the ranking merges all shards in one aligned
-/// global cut.
-///
-/// And it can live in **another process**: [`Self::remote`] takes a
-/// [`RemoteTrustServiceHandle`], so the fleet ledger is whatever service a
-/// [`RemoteTrustServer`](siot_core::service::RemoteTrustServer) exposes
-/// over TCP — the report path is identical (eager pipelined submits, lazy
-/// settling), just over a socket instead of a mailbox.
-///
-/// Or across **several** processes: [`Self::fleet`] takes a
-/// [`FleetTrustHandle`], which routes each report to the node owning the
-/// selected trustee, commits through the idempotent tagged path (a
-/// report retried across a node restart replays instead of
-/// double-counting), and keeps degrading gracefully — a down node costs
-/// only its own trustees' reports, counted in [`Self::rejected`] like
-/// any other refusal.
-pub struct ServedCoordinatorApp {
+/// [`Self::sync_ledger`], [`Self::trustee_ranking`], or drop. The ranking
+/// reads one [`Freshness::Aligned`] cut, so on a local or remote service
+/// it observes every report submitted before it (a fleet aligns per node,
+/// and a down node's trustees are absent until it returns). Reports the
+/// service refused (it was shut down underneath the coordinator, or the
+/// node owning the trustee was unreachable) are counted by
+/// [`Self::rejected`] instead of silently vanishing.
+pub struct ServedCoordinatorApp<H> {
     /// Devices that completed association.
     pub joined: Vec<DeviceId>,
     /// Reports collected from trustors.
@@ -258,121 +242,20 @@ pub struct ServedCoordinatorApp {
     /// Reports the trust service refused so far (see [`Self::rejected`]).
     rejected: std::cell::Cell<usize>,
     /// Receipt futures of submitted-but-unsettled reports.
-    pending: RefCell<Vec<ReceiptPending>>,
-    handle: LedgerHandle,
+    pending: RefCell<Vec<Receipt>>,
+    handle: H,
     /// Empty engine the pre-committed requests activate against (the
     /// decision was the reporting trustor's; nothing is read from it).
     scratch: TrustEngine<DeviceId>,
     ledger_task: Task,
 }
 
-/// The service the coordinator reports through: one actor, a sharded
-/// fleet routed by selected trustee, or a remote service over TCP.
-enum LedgerHandle {
-    Single(TrustServiceHandle<DeviceId>),
-    Sharded(ShardedTrustServiceHandle<DeviceId>),
-    Remote(RemoteTrustServiceHandle<DeviceId>),
-    Fleet(FleetTrustHandle<DeviceId>),
-}
+/// One submitted report's receipt future, whatever tier it went through.
+type Receipt = Pin<Box<dyn Future<Output = Result<DelegationReceipt<DeviceId>, TrustError>>>>;
 
-/// One submitted report's receipt future: a local mailbox oneshot, a
-/// remote wire response, or a fleet submission (reconnects and retries
-/// boxed inside) — settled uniformly either way.
-enum ReceiptPending {
-    Local(Pending<DelegationReceipt<DeviceId>>),
-    Remote(RemotePending<DelegationReceipt<DeviceId>>),
-    Fleet(
-        std::pin::Pin<
-            Box<dyn std::future::Future<Output = Result<DelegationReceipt<DeviceId>, TrustError>>>,
-        >,
-    ),
-}
-
-impl std::future::Future for ReceiptPending {
-    type Output = Result<DelegationReceipt<DeviceId>, TrustError>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Self::Output> {
-        match self.get_mut() {
-            ReceiptPending::Local(p) => std::pin::Pin::new(p).poll(cx),
-            ReceiptPending::Remote(p) => std::pin::Pin::new(p).poll(cx),
-            ReceiptPending::Fleet(p) => p.as_mut().poll(cx),
-        }
-    }
-}
-
-impl LedgerHandle {
-    fn submit(&self, completed: CompletedDelegation<DeviceId>) -> ReceiptPending {
-        match self {
-            LedgerHandle::Single(h) => ReceiptPending::Local(h.submit(completed)),
-            LedgerHandle::Sharded(h) => ReceiptPending::Local(h.submit(completed)),
-            LedgerHandle::Remote(h) => ReceiptPending::Remote(h.submit(completed)),
-            LedgerHandle::Fleet(h) => ReceiptPending::Fleet(Box::pin(h.submit(completed))),
-        }
-    }
-
-    fn task_records(&self, task: TaskId) -> Result<Vec<(DeviceId, TrustRecord)>, TrustError> {
-        match self {
-            LedgerHandle::Single(h) => block_on(h.task_records(task)),
-            // a ranking spanning shards should rank a state that actually
-            // existed: one aligned global cut
-            LedgerHandle::Sharded(h) => block_on(h.task_records_with(task, Freshness::Aligned)),
-            // the server runs the same barrier when its endpoint is sharded
-            LedgerHandle::Remote(h) => block_on(h.task_records_with(task, Freshness::Aligned)),
-            // aligned per node; a down node's range is absent rather than
-            // failing the whole ranking
-            LedgerHandle::Fleet(h) => {
-                block_on(h.task_records_cut(task, Freshness::Aligned)).map(|cut| cut.value)
-            }
-        }
-    }
-
-    fn flush(&self) -> Result<(), TrustError> {
-        match self {
-            LedgerHandle::Single(h) => block_on(h.flush()),
-            LedgerHandle::Sharded(h) => block_on(h.flush()),
-            LedgerHandle::Remote(h) => block_on(h.flush()),
-            LedgerHandle::Fleet(h) => block_on(h.flush()),
-        }
-    }
-}
-
-impl ServedCoordinatorApp {
+impl<H: TrustApi<DeviceId>> ServedCoordinatorApp<H> {
     /// A coordinator forwarding its fleet ledger through `handle`.
-    pub fn new(handle: TrustServiceHandle<DeviceId>) -> Self {
-        Self::with_ledger_handle(LedgerHandle::Single(handle))
-    }
-
-    /// A coordinator whose fleet ledger is a **sharded** service: reports
-    /// route by selected trustee to the owning shard, so the shard count
-    /// behind `handle` is the coordinator's write-throughput knob.
-    pub fn sharded(handle: ShardedTrustServiceHandle<DeviceId>) -> Self {
-        Self::with_ledger_handle(LedgerHandle::Sharded(handle))
-    }
-
-    /// A coordinator whose fleet ledger lives in **another process**:
-    /// reports travel a [`RemoteTrustServiceHandle`]'s TCP connection to
-    /// whatever service (single or sharded) the far end serves. Submits
-    /// pipeline over the socket exactly as they pipeline into a local
-    /// mailbox, and the ranking still reads one aligned cut — the server
-    /// runs the rendezvous barrier on the coordinator's behalf.
-    pub fn remote(handle: RemoteTrustServiceHandle<DeviceId>) -> Self {
-        Self::with_ledger_handle(LedgerHandle::Remote(handle))
-    }
-
-    /// A coordinator whose fleet ledger spans **several processes**: a
-    /// [`FleetTrustHandle`] routes each report to the node owning the
-    /// selected trustee and commits it with an idempotency tag, so
-    /// reports survive node deaths, reconnects, and restarts without
-    /// ever double-counting. Rankings merge the live nodes' aligned
-    /// cuts; a down node's trustees are simply absent until it returns.
-    pub fn fleet(handle: FleetTrustHandle<DeviceId>) -> Self {
-        Self::with_ledger_handle(LedgerHandle::Fleet(handle))
-    }
-
-    fn with_ledger_handle(handle: LedgerHandle) -> Self {
+    pub fn new(handle: H) -> Self {
         ServedCoordinatorApp {
             joined: Vec::new(),
             reports: Vec::new(),
@@ -385,28 +268,17 @@ impl ServedCoordinatorApp {
         }
     }
 
-    /// How many shards the ledger folds across: 1 in single-service mode,
-    /// the fleet's shard count in [`Self::sharded`] mode. A remote ledger
-    /// is asked over the wire (its per-shard stats), falling back to 1 if
-    /// the far service is gone.
+    /// How many shard actors the ledger folds across, asked through the
+    /// handle (1 if the service is gone).
     pub fn shard_count(&self) -> usize {
-        match &self.handle {
-            LedgerHandle::Single(_) => 1,
-            LedgerHandle::Sharded(h) => h.shard_count(),
-            LedgerHandle::Remote(h) => block_on(h.shard_stats()).map_or(1, |s| s.len().max(1)),
-            // the fleet folds across the sum of every reachable node's
-            // shards
-            LedgerHandle::Fleet(h) => block_on(h.node_stats()).map_or(1, |nodes| {
-                nodes.iter().filter_map(|n| n.shards.as_ref().map(Vec::len)).sum::<usize>().max(1)
-            }),
-        }
+        block_on(self.handle.shard_stats()).map_or(1, |s| s.len().max(1))
     }
 
     /// One report as a committed session over the wire: the decision was
     /// the reporting trustor's, so the session is completed locally and
     /// submitted without awaiting — the actor folds it batched with
-    /// whatever else its next drain finds. In sharded mode the submission
-    /// routes straight to the shard owning `selected`.
+    /// whatever else its next drain finds. A sharded tier routes the
+    /// submission straight to the shard owning `selected`.
     fn fold_report(&mut self, selected: DeviceId, net_profit: f64) {
         let Some(obs) = report_observation(net_profit) else {
             return;
@@ -421,7 +293,7 @@ impl ServedCoordinatorApp {
         .activate(&self.scratch)
         .finish(DelegationOutcome::observed(obs))
         .expect("report observations are clamped to the unit range");
-        self.pending.get_mut().push(self.handle.submit(completed));
+        self.pending.get_mut().push(Box::pin(self.handle.submit(completed)));
         // bound the receipt backlog: by the time a full slate has been
         // submitted, the actor has long drained the oldest, so settling is
         // resolution, not a stall
@@ -430,6 +302,37 @@ impl ServedCoordinatorApp {
         }
     }
 
+    /// Trustees ranked by fleet-wide expected net profit, best first (ties
+    /// broken by id) — computed from the service's ledger, so the ranking
+    /// reflects every report the service has acked, from this coordinator
+    /// and any other handle holder. Across shards the snapshot is one
+    /// [`Freshness::Aligned`] global cut.
+    pub fn trustee_ranking(&self) -> Result<Vec<(DeviceId, f64)>, TrustError> {
+        self.settle();
+        // one atomic snapshot query — not a known_peers + per-peer record
+        // loop, which would cross the mailbox once per trustee
+        let mut ranked: Vec<(DeviceId, f64)> =
+            block_on(self.handle.task_records_with(LEDGER_TASK, Freshness::Aligned))?
+                .into_iter()
+                .map(|(peer, rec)| (peer, rec.expected_net_profit()))
+                .collect();
+        ranked.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1).expect("profits are never NaN").then(a.0.cmp(&b.0))
+        });
+        Ok(ranked)
+    }
+
+    /// Forces the service's ledger down to stable storage — the durable
+    /// parallel of [`CoordinatorApp::sync_ledger`], through the handle
+    /// (every shard's engine). Settles first, so
+    /// "flushed" covers every report submitted so far.
+    pub fn sync_ledger(&self) -> Result<(), TrustError> {
+        self.settle();
+        block_on(self.handle.flush())
+    }
+}
+
+impl<H> ServedCoordinatorApp<H> {
     /// Resolves every outstanding receipt, counting refusals (the service
     /// stopped before folding them) into [`Self::rejected`]. Cheap when
     /// the actor has already processed the backlog.
@@ -447,39 +350,9 @@ impl ServedCoordinatorApp {
         self.settle();
         self.rejected.get()
     }
-
-    /// Trustees ranked by fleet-wide expected net profit, best first (ties
-    /// broken by id) — computed from the service's ledger, so the ranking
-    /// reflects every report the actor has acked, from this coordinator
-    /// and any other handle holder. In sharded mode the snapshot is one
-    /// [`Freshness::Aligned`] global cut across every shard.
-    pub fn trustee_ranking(&self) -> Result<Vec<(DeviceId, f64)>, TrustError> {
-        self.settle();
-        // one atomic snapshot query — not a known_peers + per-peer record
-        // loop, which would cross the mailbox once per trustee
-        let mut ranked: Vec<(DeviceId, f64)> = self
-            .handle
-            .task_records(LEDGER_TASK)?
-            .into_iter()
-            .map(|(peer, rec)| (peer, rec.expected_net_profit()))
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).expect("profits are never NaN").then(a.0.cmp(&b.0))
-        });
-        Ok(ranked)
-    }
-
-    /// Forces the service's ledger down to stable storage — the durable
-    /// parallel of [`CoordinatorApp::sync_ledger`], through the handle
-    /// (every shard's engine, in sharded mode). Settles first, so
-    /// "flushed" covers every report submitted so far.
-    pub fn sync_ledger(&self) -> Result<(), TrustError> {
-        self.settle();
-        self.handle.flush()
-    }
 }
 
-impl Drop for ServedCoordinatorApp {
+impl<H> Drop for ServedCoordinatorApp<H> {
     /// Outstanding receipts are settled so refusals are counted; the
     /// reports themselves already sit in the actor's mailbox (submission
     /// is the send), so nothing is lost either way.
@@ -488,7 +361,7 @@ impl Drop for ServedCoordinatorApp {
     }
 }
 
-impl Application for ServedCoordinatorApp {
+impl<H: TrustApi<DeviceId> + 'static> Application for ServedCoordinatorApp<H> {
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame) {
         match frame.payload {
             Payload::AssocRequest => {
@@ -656,7 +529,7 @@ mod tests {
 
     #[test]
     fn served_coordinator_reports_through_the_handle() {
-        use siot_core::service::{ServiceOptions, TrustService};
+        use siot_core::service::{ServiceOptions, TrustService, TrustServiceHandle};
 
         let service = TrustService::spawn(
             TrustEngine::<DeviceId, ShardedBackend<DeviceId>>::new(),
@@ -674,7 +547,7 @@ mod tests {
         }
         net.start();
         net.run_to_idle();
-        let app: &ServedCoordinatorApp = net.app_as(coord).unwrap();
+        let app: &ServedCoordinatorApp<TrustServiceHandle<DeviceId>> = net.app_as(coord).unwrap();
         assert_eq!(app.joined.len(), 3);
         assert_eq!(app.reports.len(), 3);
         assert_eq!(app.rejected(), 0);
@@ -726,7 +599,7 @@ mod tests {
 
     #[test]
     fn served_coordinator_reports_through_sharded_handles() {
-        use siot_core::service::{ServiceOptions, ShardedTrustService};
+        use siot_core::service::{ServiceOptions, ShardedTrustService, ShardedTrustServiceHandle};
 
         let service = ShardedTrustService::spawn_sharded(3, ServiceOptions::default(), |_| {
             TrustEngine::<DeviceId, ShardedBackend<DeviceId>>::new()
@@ -736,14 +609,15 @@ mod tests {
         let coord = net.add_device(
             DeviceKind::Coordinator,
             (0.0, 0.0),
-            Box::new(ServedCoordinatorApp::sharded(service.handle())),
+            Box::new(ServedCoordinatorApp::new(service.handle())),
         );
         for i in 0..3 {
             net.add_device(DeviceKind::Trustor, (5.0 * i as f64, 5.0), Box::new(Reporter));
         }
         net.start();
         net.run_to_idle();
-        let app: &ServedCoordinatorApp = net.app_as(coord).unwrap();
+        let app: &ServedCoordinatorApp<ShardedTrustServiceHandle<DeviceId>> =
+            net.app_as(coord).unwrap();
         assert_eq!(app.joined.len(), 3);
         assert_eq!(app.reports.len(), 3);
         assert_eq!(app.rejected(), 0);
@@ -786,14 +660,15 @@ mod tests {
         let coord = net.add_device(
             DeviceKind::Coordinator,
             (0.0, 0.0),
-            Box::new(ServedCoordinatorApp::remote(remote)),
+            Box::new(ServedCoordinatorApp::new(remote)),
         );
         for i in 0..3 {
             net.add_device(DeviceKind::Trustor, (5.0 * i as f64, 5.0), Box::new(Reporter));
         }
         net.start();
         net.run_to_idle();
-        let app: &ServedCoordinatorApp = net.app_as(coord).unwrap();
+        let app: &ServedCoordinatorApp<RemoteTrustServiceHandle<DeviceId>> =
+            net.app_as(coord).unwrap();
         assert_eq!(app.joined.len(), 3);
         assert_eq!(app.reports.len(), 3);
         assert_eq!(app.rejected(), 0);
@@ -843,14 +718,14 @@ mod tests {
         let coord = net.add_device(
             DeviceKind::Coordinator,
             (0.0, 0.0),
-            Box::new(ServedCoordinatorApp::fleet(fleet)),
+            Box::new(ServedCoordinatorApp::new(fleet)),
         );
         for i in 0..3 {
             net.add_device(DeviceKind::Trustor, (5.0 * i as f64, 5.0), Box::new(Reporter));
         }
         net.start();
         net.run_to_idle();
-        let app: &ServedCoordinatorApp = net.app_as(coord).unwrap();
+        let app: &ServedCoordinatorApp<FleetTrustHandle<DeviceId>> = net.app_as(coord).unwrap();
         assert_eq!(app.joined.len(), 3);
         assert_eq!(app.reports.len(), 3);
         assert_eq!(app.rejected(), 0);
@@ -892,7 +767,7 @@ mod tests {
             };
         {
             let service = spawn(&root);
-            let mut app = ServedCoordinatorApp::sharded(service.handle());
+            let mut app = ServedCoordinatorApp::new(service.handle());
             for _ in 0..5 {
                 app.fold_report(DeviceId(3), 0.8);
                 app.fold_report(DeviceId(5), -0.4);
@@ -905,7 +780,7 @@ mod tests {
         // "restart": the same root, the same shard count — the recovered
         // fleet ranks from remembered trust
         let service = spawn(&root);
-        let app = ServedCoordinatorApp::sharded(service.handle());
+        let app = ServedCoordinatorApp::new(service.handle());
         let ranking = app.trustee_ranking().unwrap();
         assert_eq!(
             ranking.iter().map(|&(d, _)| d).collect::<Vec<_>>(),

@@ -6,9 +6,9 @@
 //! the same shape — hidden trustee qualities, repeated delegation,
 //! selection by Eq. 23 expected net profit, post-evaluation feedback —
 //! runs against a single [`TrustService`]: each requester owns a cloned
-//! [`TrustServiceHandle`] on its own thread, evaluates and commits
-//! delegation sessions over the actor's mailbox, and the actor batches
-//! whatever the concurrent requesters race in per drain.
+//! handle on its own thread, evaluates and commits delegation sessions
+//! over the actor's mailbox, and the actor batches whatever the concurrent
+//! requesters race in per drain.
 //!
 //! Records are scoped per requester (the trust a requester learns is its
 //! own, exactly like the per-trustor engines of the original scenario) by
@@ -39,20 +39,20 @@
 //! peers across nodes and commits through the idempotent tagged path.
 //! Two layers of routing (peer → node → shard) still merge to the same
 //! records bit-for-bit.
+//!
+//! All four runs drive the same requester code: it is written once
+//! against [`TrustApi`], which every handle implements.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use siot_core::backend::ShardedBackend;
 use siot_core::context::Context;
-use siot_core::delegation::{
-    CompletedDelegation, Decision, DelegationOutcome, DelegationReceipt, DelegationRequest,
-};
-use siot_core::error::TrustError;
+use siot_core::delegation::{Decision, DelegationOutcome, DelegationRequest};
 use siot_core::goal::Goal;
 use siot_core::record::TrustRecord;
 use siot_core::service::{
     block_on, FleetTrustHandle, RemoteTrustServer, RemoteTrustServiceHandle, ServiceOptions,
-    ShardedTrustService, ShardedTrustServiceHandle, TrustService, TrustServiceHandle,
+    ShardedTrustService, TrustApi, TrustService,
 };
 use siot_core::store::TrustEngine;
 use siot_core::task::{CharacteristicId, Task, TaskId};
@@ -113,49 +113,6 @@ fn qualities(cfg: &ServiceScenarioConfig) -> Vec<f64> {
     (0..cfg.trustees).map(|_| rng.gen_range(0.2..1.0)).collect()
 }
 
-/// The service a requester drives: one actor or a sharded fleet. Every
-/// operation the scenario performs is peer-targeted, so both route
-/// identically from the requester's point of view.
-#[derive(Clone)]
-enum ScenarioHandle {
-    Single(TrustServiceHandle<u64>),
-    Sharded(ShardedTrustServiceHandle<u64>),
-    Remote(RemoteTrustServiceHandle<u64>),
-    Fleet(FleetTrustHandle<u64>),
-}
-
-impl ScenarioHandle {
-    async fn record(&self, peer: u64, task: TaskId) -> Result<Option<TrustRecord>, TrustError> {
-        match self {
-            ScenarioHandle::Single(h) => h.record(peer, task).await,
-            ScenarioHandle::Sharded(h) => h.record(peer, task).await,
-            ScenarioHandle::Remote(h) => h.record(peer, task).await,
-            ScenarioHandle::Fleet(h) => h.record(peer, task).await,
-        }
-    }
-
-    async fn delegate(&self, request: DelegationRequest<u64>) -> Result<Decision<u64>, TrustError> {
-        match self {
-            ScenarioHandle::Single(h) => h.delegate(request).await,
-            ScenarioHandle::Sharded(h) => h.delegate(request).await,
-            ScenarioHandle::Remote(h) => h.delegate(request).await,
-            ScenarioHandle::Fleet(h) => h.delegate(request).await,
-        }
-    }
-
-    async fn commit(
-        &self,
-        completed: CompletedDelegation<u64>,
-    ) -> Result<DelegationReceipt<u64>, TrustError> {
-        match self {
-            ScenarioHandle::Single(h) => h.commit(completed).await,
-            ScenarioHandle::Sharded(h) => h.commit(completed).await,
-            ScenarioHandle::Remote(h) => h.commit(completed).await,
-            ScenarioHandle::Fleet(h) => h.submit(completed).await,
-        }
-    }
-}
-
 /// One requester's full run through its handle: score candidates from its
 /// own records (Eq. 23 expected net profit, optimistic prior for
 /// strangers), evaluate-decide over the wire, feed the sampled outcome
@@ -165,7 +122,7 @@ impl ScenarioHandle {
 /// commit is awaited before the next read, so the interleaving with other
 /// requesters cannot change what it observes.
 fn drive_requester(
-    handle: &ScenarioHandle,
+    handle: &impl TrustApi<u64>,
     requester: usize,
     task: &Task,
     qualities: &[f64],
@@ -244,8 +201,7 @@ pub fn run_sequential(cfg: &ServiceScenarioConfig) -> ServiceScenarioOutcome {
 pub fn run_sharded(cfg: &ServiceScenarioConfig, shards: usize) -> ServiceScenarioOutcome {
     let task = Task::uniform(SERVICE_TASK, [CharacteristicId(0)]).expect("non-empty task");
     let service = spawn_shards(cfg, &task, shards);
-    let (per_requester, declined) =
-        drive_fleet(cfg, &task, &ScenarioHandle::Sharded(service.handle()), true);
+    let (per_requester, declined) = drive_fleet(cfg, &task, &service.handle(), true);
     let engines = service.shutdown().expect("scenario shards shut down cleanly");
     outcome(per_requester, declined, merged_records(engines))
 }
@@ -263,7 +219,7 @@ pub fn run_remote(cfg: &ServiceScenarioConfig, shards: usize) -> ServiceScenario
         RemoteTrustServer::bind("127.0.0.1:0", service.handle()).expect("loopback listener binds");
     let remote = RemoteTrustServiceHandle::<u64>::connect(server.local_addr())
         .expect("loopback connect succeeds");
-    let (per_requester, declined) = drive_fleet(cfg, &task, &ScenarioHandle::Remote(remote), true);
+    let (per_requester, declined) = drive_fleet(cfg, &task, &remote, true);
     server.shutdown();
     let engines = service.shutdown().expect("scenario shards shut down cleanly");
     outcome(per_requester, declined, merged_records(engines))
@@ -288,7 +244,7 @@ pub fn run_fleet(
         .collect();
     let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
     let fleet = FleetTrustHandle::<u64>::connect(addrs).expect("loopback fleet connects");
-    let (per_requester, declined) = drive_fleet(cfg, &task, &ScenarioHandle::Fleet(fleet), true);
+    let (per_requester, declined) = drive_fleet(cfg, &task, &fleet, true);
     for server in servers {
         server.shutdown();
     }
@@ -305,8 +261,7 @@ fn run_inner(cfg: &ServiceScenarioConfig, concurrent: bool) -> ServiceScenarioOu
         engine,
         ServiceOptions { mailbox: cfg.mailbox, ..ServiceOptions::default() },
     );
-    let (per_requester, declined) =
-        drive_fleet(cfg, &task, &ScenarioHandle::Single(service.handle()), concurrent);
+    let (per_requester, declined) = drive_fleet(cfg, &task, &service.handle(), concurrent);
     let engine = service.shutdown().expect("scenario service shuts down cleanly");
     outcome(per_requester, declined, merged_records([engine]))
 }
@@ -351,7 +306,7 @@ fn merged_records(engines: impl IntoIterator<Item = ScenarioEngine>) -> Vec<(u64
 fn drive_fleet(
     cfg: &ServiceScenarioConfig,
     task: &Task,
-    handle: &ScenarioHandle,
+    handle: &impl TrustApi<u64>,
     concurrent: bool,
 ) -> (Vec<f64>, usize) {
     let qualities = qualities(cfg);

@@ -2,8 +2,8 @@
 //!
 //! `RemoteTrustServer` exposes a running `TrustService` or
 //! `ShardedTrustService` on a socket; `RemoteTrustServiceHandle` connects
-//! and speaks the same `submit`/`evaluate`/`known_peers`/… vocabulary as
-//! a local handle — plain `std` futures, fully pipelined, every real
+//! and implements the same `TrustApi` as a local handle (the trait comes
+//! with the prelude) — plain `std` futures, fully pipelined, every real
 //! crossing the wire as its IEEE-754 bits. This example walks the
 //! federated lifecycle inside one binary (the two halves would normally
 //! be two processes on two machines):
@@ -29,7 +29,7 @@
 //! Run with: `cargo run --example federated_service`
 
 use siot::core::prelude::*;
-use siot::core::service::{block_on, Freshness, ServiceOptions, ShardedTrustService};
+use siot::core::service::block_on;
 
 const SHARDS: usize = 2;
 

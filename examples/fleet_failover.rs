@@ -30,7 +30,7 @@
 //! Run with: `cargo run --example fleet_failover`
 
 use siot::core::prelude::*;
-use siot::core::service::{block_on, Freshness, ServiceOptions, ShardedTrustService};
+use siot::core::service::block_on;
 use std::time::Duration;
 
 const NODES: usize = 2;

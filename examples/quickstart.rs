@@ -10,7 +10,7 @@
 //! cloneable async handles let concurrent requesters share it — with
 //! the service **sharded**: partitioned shard actors behind one routing
 //! handle — with the service **federated**: exposed over TCP to a
-//! remote handle that mirrors the whole API from another process — and
+//! remote handle that serves the same `TrustApi` from another process — and
 //! with the federation **fault-tolerant**: a fleet handle routing
 //! across several TCP nodes, surviving a node kill with typed errors,
 //! reconnects, and idempotent commits — and with reads **replicated**:
@@ -23,6 +23,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use siot::core::log_backend::{FsyncPolicy, LogOptions};
+// the prelude brings `TrustApi`, the one surface every service handle
+// below implements
 use siot::core::prelude::*;
 use siot::core::service::block_on;
 use siot::graph::generate::watts_strogatz;
@@ -161,10 +163,10 @@ fn main() {
 
     // 8. serving trust: the same process as a shared async service. A
     //    `TrustService` actor owns the engine on its own thread; cloneable
-    //    `Send` handles evaluate, commit and query through `async fn`s
-    //    (driven here by the bundled `block_on` — no runtime needed), and
-    //    adjacent commits racing in from many requesters fold in one
-    //    batched storage pass per mailbox drain. See
+    //    `Send` handles evaluate, commit and query through `TrustApi`'s
+    //    futures (driven here by the bundled `block_on` — no runtime
+    //    needed), and adjacent commits racing in from many requesters
+    //    fold in one batched storage pass per mailbox drain. See
     //    `examples/serving_trust.rs` for the durable, restart-surviving
     //    variant.
     let mut shared: TrustStore<u32> = TrustStore::new();
@@ -245,7 +247,7 @@ fn main() {
     // 10. federating: any service tier served over TCP. A
     //     `RemoteTrustServer` fronts the fleet; a
     //     `RemoteTrustServiceHandle` in another process connects and
-    //     mirrors the whole handle API — pipelined submits, typed errors,
+    //     serves the same `TrustApi` — pipelined submits, typed errors,
     //     aligned cuts — over CRC-framed frames that round-trip every
     //     real bit-identically. See `examples/federated_service.rs` for
     //     the full federated lifecycle.

@@ -31,7 +31,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use siot::core::prelude::*;
-use siot::core::service::{block_on, Freshness, ServiceOptions, ShardedTrustService};
+use siot::core::service::block_on;
 
 const SHARDS: usize = 3;
 const TRUSTEES: u32 = 60;

@@ -21,7 +21,7 @@
 //! Run with: `cargo run --example serving_trust`
 
 use siot::core::prelude::*;
-use siot::core::service::{block_on, ServiceOptions, TrustService};
+use siot::core::service::block_on;
 
 /// Hidden ground truth for the demo's trustees.
 const COMPETENCE: [f64; 4] = [0.95, 0.75, 0.5, 0.25];

@@ -25,7 +25,7 @@
 //! Run with: `cargo run --example sharded_service`
 
 use siot::core::prelude::*;
-use siot::core::service::{block_on, Freshness, ServiceOptions, ShardedTrustService};
+use siot::core::service::block_on;
 
 const SHARDS: usize = 3;
 
