@@ -30,7 +30,10 @@ fn main() {
     fig14(seed, out_dir);
     fig15(seed, out_dir);
     fig16(seed, out_dir);
-    println!("\nDone. See EXPERIMENTS.md for the paper-vs-measured record.");
+    println!(
+        "\nDone. Tables print measured | paper side by side; every figure's series is in {}.",
+        out_dir.display()
+    );
 }
 
 type MeasuredFmt = fn(&ConnectivityStats) -> String;

@@ -84,8 +84,9 @@ impl ForgettingFactors {
     /// paper's Figs. 13–16 all show convergence over tens to hundreds of
     /// iterations ("it takes quite some time ... to converge"). The
     /// figures' time constants correspond to a *history* weight of 0.9,
-    /// i.e. [`ForgettingFactors::figures`]. The reproduction uses
-    /// `figures()` and records the discrepancy in EXPERIMENTS.md.
+    /// i.e. [`ForgettingFactors::figures`]. The reproduction therefore
+    /// uses `figures()`; this constructor keeps the stated value so the
+    /// gap between the paper's text and its figures stays explicit.
     pub fn paper() -> Self {
         Self::uniform(0.1)
     }

@@ -24,7 +24,6 @@ use siot_core::record::{ForgettingFactors, Observation, TrustRecord};
 use siot_core::store::TrustEngine;
 use siot_core::task::{CharacteristicId, Task, TaskId};
 use siot_graph::SocialGraph;
-use std::collections::BTreeMap;
 
 /// The scalar records of §5.5 ride in a full [`TrustRecord`]: the scalar
 /// trustworthiness goes to `Ŝ` (read back via [`TrustRecord::s_hat`]), the
@@ -42,8 +41,9 @@ pub struct Knowledge<B: TrustBackend<AgentId> = BTreeBackend<AgentId>> {
     experienced: Vec<Vec<TaskId>>,
     /// `records[holder]`: the holder's trust engine over its peers.
     records: Vec<TrustEngine<AgentId, B>>,
-    /// `rec_trust[holder] : peer -> recommendation trustworthiness TW(Rτ)`.
-    rec_trust: Vec<BTreeMap<AgentId, f64>>,
+    /// `rec_trust[holder]`: `(peer, TW(Rτ))` rows sorted by peer — the
+    /// recommendation trustworthiness the holder grants each neighbour.
+    rec_trust: Vec<Vec<(AgentId, f64)>>,
     n_characteristics: usize,
 }
 
@@ -80,7 +80,8 @@ impl<B: TrustBackend<AgentId>> Knowledge<B> {
 
         let mut records: Vec<TrustEngine<AgentId, B>> =
             (0..n).map(|_| TrustEngine::new()).collect();
-        let mut rec_trust: Vec<BTreeMap<AgentId, f64>> = vec![BTreeMap::new(); n];
+        let mut rec_trust: Vec<Vec<(AgentId, f64)>> =
+            g.nodes().map(|holder| Vec::with_capacity(g.degree(holder))).collect();
         for holder in g.nodes() {
             for &peer in g.neighbors(holder) {
                 for &tid in &experienced[peer.index()] {
@@ -89,8 +90,9 @@ impl<B: TrustBackend<AgentId>> Knowledge<B> {
                     records[holder.index()].seed_record(peer, tid, scalar_record(observed));
                 }
                 // honest networks recommend reliably: TW(Rτ) is high but
-                // not perfect (§4.3 gates filter on it with ω₁)
-                rec_trust[holder.index()].insert(peer, rng.gen_range(0.75..0.95));
+                // not perfect (§4.3 gates filter on it with ω₁); the
+                // adjacency list is sorted, so this appends
+                upsert(&mut rec_trust[holder.index()], peer, rng.gen_range(0.75..0.95));
             }
         }
         Knowledge { competence, experienced, records, rec_trust, n_characteristics: n_chars }
@@ -193,13 +195,14 @@ impl<B: TrustBackend<AgentId>> Knowledge<B> {
     /// Recommendation trustworthiness `TW_{holder←peer}(Rτ)` — how much
     /// `holder` trusts `peer`'s recommendations. `None` for non-neighbours.
     pub fn recommendation_trust(&self, holder: AgentId, peer: AgentId) -> Option<f64> {
-        self.rec_trust[holder.index()].get(&peer).copied()
+        let row = &self.rec_trust[holder.index()];
+        row.binary_search_by_key(&peer, |&(p, _)| p).ok().map(|i| row[i].1)
     }
 
     /// Overrides one recommendation-trust value (used by attack models:
     /// a bad-mouthing or ballot-stuffing peer loses recommendation trust).
     pub fn set_recommendation_trust(&mut self, holder: AgentId, peer: AgentId, tw: f64) {
-        self.rec_trust[holder.index()].insert(peer, tw.clamp(0.0, 1.0));
+        upsert(&mut self.rec_trust[holder.index()], peer, tw.clamp(0.0, 1.0));
     }
 
     /// All of `holder`'s experiences about `peer` as `(task, tw)` pairs
@@ -219,6 +222,14 @@ impl<B: TrustBackend<AgentId>> Knowledge<B> {
     /// Size of the characteristic alphabet.
     pub fn n_characteristics(&self) -> usize {
         self.n_characteristics
+    }
+}
+
+/// Overwrites `peer`'s entry in a sorted row, or inserts it in order.
+fn upsert(row: &mut Vec<(AgentId, f64)>, peer: AgentId, tw: f64) {
+    match row.binary_search_by_key(&peer, |&(p, _)| p) {
+        Ok(i) => row[i].1 = tw,
+        Err(i) => row.insert(i, (peer, tw)),
     }
 }
 
@@ -337,6 +348,28 @@ mod tests {
         // a second rewrite keeps counting — the burst is visible
         k.set_record(holder, peer, tid, 0.9);
         assert_eq!(k.engine(holder).record(peer, tid).unwrap().interactions, before + 2);
+    }
+
+    #[test]
+    fn recommendation_trust_overrides_keep_rows_sorted() {
+        let (_, _, mut k) = setup();
+        let [n0, n1, n2, n3] = [0u32, 1, 2, 3].map(AgentId::from);
+        // 0's only neighbour is 1: its seeded entry is overwritten in place
+        assert!(k.recommendation_trust(n0, n1).is_some());
+        k.set_recommendation_trust(n0, n1, 0.1);
+        assert_eq!(k.recommendation_trust(n0, n1), Some(0.1));
+        assert_eq!(k.rec_trust[0].len(), 1);
+
+        // non-neighbours are unknown until set, then land in sorted position
+        assert_eq!(k.recommendation_trust(n0, n3), None);
+        assert_eq!(k.recommendation_trust(n0, n2), None);
+        k.set_recommendation_trust(n0, n3, 0.3);
+        k.set_recommendation_trust(n0, n2, 2.0);
+        assert_eq!(k.recommendation_trust(n0, n3), Some(0.3));
+        assert_eq!(k.recommendation_trust(n0, n2), Some(1.0), "values are clamped");
+        let peers: Vec<AgentId> = k.rec_trust[0].iter().map(|&(p, _)| p).collect();
+        assert_eq!(peers, [n1, n2, n3]);
+        assert_eq!(k.recommendation_trust(n0, n0), None);
     }
 
     #[test]

@@ -75,81 +75,106 @@ struct ActualBehavior {
     cost: f64,
 }
 
-/// Runs the experiment; returns the average realized net profit per
-/// iteration (one entry per iteration).
-pub fn run(g: &SocialGraph, strategy: Strategy, cfg: &ProfitConfig) -> Vec<f64> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let roles = Roles::paper_split(g, cfg.seed ^ 0x9f17);
-    let betas = ForgettingFactors::uniform(cfg.beta);
+/// One trustor's fixed candidate slate and its view of their records.
+struct Slate {
+    trustor: AgentId,
+    candidates: Vec<AgentId>,
+    /// `records[i]`: the engine's record about `(trustor, candidates[i])`.
+    records: Vec<TrustRecord>,
+}
 
-    // hidden actuals per trustee
-    let actuals: Vec<ActualBehavior> = (0..g.node_count())
-        .map(|_| ActualBehavior {
-            success_rate: rng.gen_range(0.0..1.0),
-            gain: rng.gen_range(0.0..1.0),
-            damage: rng.gen_range(0.0..1.0),
-            cost: rng.gen_range(0.0..1.0),
-        })
-        .collect();
+/// The experiment's state between iterations.
+struct Experiment {
+    rng: SmallRng,
+    betas: ForgettingFactors,
+    actuals: Vec<ActualBehavior>,
+    slates: Vec<Slate>,
+    /// One engine holds every trustor's view, keyed by the (trustor,
+    /// trustee) pair — the shape a coordinator-side deployment would use.
+    engine: TrustEngine<(AgentId, AgentId)>,
+    profit_task: Task,
+}
 
-    // candidate slates (fixed per trustor) and per-pair records
-    let mut slates: Vec<(AgentId, Vec<AgentId>)> = Vec::new();
-    for &trustor in roles.trustors() {
-        let dist = bfs_distances_bounded(g, trustor, cfg.search_hops);
-        let cands: Vec<AgentId> = roles
-            .trustees()
-            .iter()
-            .copied()
-            .filter(|t| *t != trustor && dist[t.index()] != u32::MAX)
+impl Experiment {
+    fn new(g: &SocialGraph, cfg: &ProfitConfig) -> Self {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let roles = Roles::paper_split(g, cfg.seed ^ 0x9f17);
+
+        // hidden actuals per trustee
+        let actuals: Vec<ActualBehavior> = (0..g.node_count())
+            .map(|_| ActualBehavior {
+                success_rate: rng.gen_range(0.0..1.0),
+                gain: rng.gen_range(0.0..1.0),
+                damage: rng.gen_range(0.0..1.0),
+                cost: rng.gen_range(0.0..1.0),
+            })
             .collect();
-        if !cands.is_empty() {
-            slates.push((trustor, cands));
-        }
-    }
-    // One engine holds every trustor's view, keyed by the (trustor,
-    // trustee) pair — the shape a coordinator-side deployment would use.
-    let mut engine: TrustEngine<(AgentId, AgentId)> = TrustEngine::new();
-    let profit_task = Task::uniform(PROFIT_TASK, [CharacteristicId(0)]).expect("non-empty");
-    for (trustor, cands) in &slates {
-        for &c in cands {
-            // Initial expectations are optimistic (the paper initializes
-            // expectations at their best, §5.7): every candidate gets
-            // explored before the trustor settles, so the profit series
-            // rises over the first several hundred iterations as records
-            // converge to the trustees' actual behaviour (Eqs. 19-22).
-            engine.seed_record(
-                (*trustor, c),
-                PROFIT_TASK,
-                TrustRecord::with_priors(1.0, 1.0, 0.0, 0.0),
-            );
-        }
-    }
 
-    let mut series = Vec::with_capacity(cfg.iterations);
-    let mut profits = Vec::with_capacity(slates.len());
-    let mut completed: Vec<CompletedDelegation<(AgentId, AgentId)>> =
-        Vec::with_capacity(slates.len());
-    for _ in 0..cfg.iterations {
-        profits.clear();
-        for (trustor, cands) in &slates {
-            // score candidates under the strategy
-            let recs: Vec<TrustRecord> = cands
+        // candidate slates (fixed per trustor) and per-pair records
+        let mut engine: TrustEngine<(AgentId, AgentId)> = TrustEngine::new();
+        let mut slates = Vec::new();
+        for &trustor in roles.trustors() {
+            let dist = bfs_distances_bounded(g, trustor, cfg.search_hops);
+            let candidates: Vec<AgentId> = roles
+                .trustees()
+                .iter()
+                .copied()
+                .filter(|t| *t != trustor && dist[t.index()] != u32::MAX)
+                .collect();
+            if candidates.is_empty() {
+                continue;
+            }
+            for &c in &candidates {
+                // Initial expectations are optimistic (the paper initializes
+                // expectations at their best, §5.7): every candidate gets
+                // explored before the trustor settles, so the profit series
+                // rises over the first several hundred iterations as records
+                // converge to the trustees' actual behaviour (Eqs. 19-22).
+                engine.seed_record(
+                    (trustor, c),
+                    PROFIT_TASK,
+                    TrustRecord::with_priors(1.0, 1.0, 0.0, 0.0),
+                );
+            }
+            let records = candidates
                 .iter()
                 .map(|&c| {
-                    engine
-                        .record((*trustor, c), PROFIT_TASK)
-                        .expect("record seeded for every slate member")
+                    engine.record((trustor, c), PROFIT_TASK).expect("record seeded just above")
                 })
                 .collect();
+            slates.push(Slate { trustor, candidates, records });
+        }
+
+        Experiment {
+            rng,
+            betas: ForgettingFactors::uniform(cfg.beta),
+            actuals,
+            slates,
+            engine,
+            profit_task: Task::uniform(PROFIT_TASK, [CharacteristicId(0)]).expect("non-empty"),
+        }
+    }
+
+    /// One iteration: every trustor delegates once. Returns the mean
+    /// realized net profit.
+    fn step(&mut self, strategy: Strategy) -> f64 {
+        let mut profits = Vec::with_capacity(self.slates.len());
+        let mut picks = Vec::with_capacity(self.slates.len());
+        let mut completed: Vec<CompletedDelegation<(AgentId, AgentId)>> =
+            Vec::with_capacity(self.slates.len());
+        for slate in &self.slates {
+            // score candidates under the strategy
             let pick = match strategy {
-                Strategy::SuccessRateOnly => HighestSuccessRate.select(&recs),
-                Strategy::NetProfit => MaxNetProfit.select(&recs),
+                Strategy::SuccessRateOnly => HighestSuccessRate.select(&slate.records),
+                Strategy::NetProfit => MaxNetProfit.select(&slate.records),
             }
             .expect("slates are non-empty");
-            let trustee = cands[pick];
-            let actual = actuals[trustee.index()];
+            picks.push(pick);
+            let trustee = slate.candidates[pick];
+            let actual = self.actuals[trustee.index()];
 
             // realize the outcome
+            let rng = &mut self.rng;
             let succeeded = rng.gen_bool(actual.success_rate);
             let profit =
                 if succeeded { actual.gain - actual.cost } else { -actual.damage - actual.cost };
@@ -162,36 +187,50 @@ pub fn run(g: &SocialGraph, strategy: Strategy, cfg: &ProfitConfig) -> Vec<f64> 
             let jitter =
                 |x: f64, rng: &mut SmallRng| (x + rng.gen_range(-0.05..0.05)).clamp(0.0, 1.0);
             let obs = Observation {
-                success_rate: jitter(actual.success_rate, &mut rng),
-                gain: jitter(actual.gain, &mut rng),
-                damage: jitter(actual.damage, &mut rng),
-                cost: jitter(actual.cost, &mut rng),
+                success_rate: jitter(actual.success_rate, rng),
+                gain: jitter(actual.gain, rng),
+                damage: jitter(actual.damage, rng),
+                cost: jitter(actual.cost, rng),
             };
 
             // the strategy has already decided, so the session is
             // committed: the experiment measures convergence, not the
             // goal gate
-            let active = engine
+            let active = self
+                .engine
                 .delegate(
-                    (*trustor, trustee),
-                    &profit_task,
+                    (slate.trustor, trustee),
+                    &self.profit_task,
                     Goal::ANY,
                     Context::amicable(PROFIT_TASK),
                 )
-                .activate(&engine);
+                .activate(&self.engine);
             completed.push(
                 active
                     .finish(DelegationOutcome::observed(obs))
                     .expect("jittered observations are clamped to the unit range"),
             );
         }
-        // one batched storage pass per iteration: each (trustor, trustee)
+        // One batched storage pass per iteration: each (trustor, trustee)
         // record is unique, so deferring the folds preserves the semantics
-        // while the engine amortizes the lookups
-        engine.commit_batch(std::mem::take(&mut completed), &betas);
-        series.push(mean(&profits));
+        // while the engine amortizes the lookups. The receipts carry the
+        // acked post-fold records, and each trustor committed exactly one,
+        // so refreshing the picked slot from its receipt keeps every slate
+        // equal to the engine's state without reading it back.
+        let receipts = self.engine.commit_batch_receipts(completed, &self.betas);
+        for ((slate, pick), receipt) in self.slates.iter_mut().zip(picks).zip(receipts) {
+            debug_assert_eq!(receipt.trustee, (slate.trustor, slate.candidates[pick]));
+            slate.records[pick] = receipt.record;
+        }
+        mean(&profits)
     }
-    series
+}
+
+/// Runs the experiment; returns the average realized net profit per
+/// iteration (one entry per iteration).
+pub fn run(g: &SocialGraph, strategy: Strategy, cfg: &ProfitConfig) -> Vec<f64> {
+    let mut experiment = Experiment::new(g, cfg);
+    (0..cfg.iterations).map(|_| experiment.step(strategy)).collect()
 }
 
 #[cfg(test)]
@@ -244,6 +283,34 @@ mod tests {
         let g = SocialNetKind::Twitter.generate(3);
         let cfg = ProfitConfig { iterations: 50, ..Default::default() };
         assert_eq!(run(&g, Strategy::NetProfit, &cfg), run(&g, Strategy::NetProfit, &cfg));
+    }
+
+    #[test]
+    fn slates_track_the_engine_bit_for_bit() {
+        let g = SocialNetKind::Twitter.generate(3);
+        let cfg = ProfitConfig { iterations: 20, ..Default::default() };
+        for strategy in [Strategy::SuccessRateOnly, Strategy::NetProfit] {
+            let mut experiment = Experiment::new(&g, &cfg);
+            for _ in 0..cfg.iterations {
+                experiment.step(strategy);
+            }
+            let bits = |r: &TrustRecord| {
+                (r.s_hat.to_bits(), r.g_hat.to_bits(), r.d_hat.to_bits(), r.c_hat.to_bits())
+            };
+            let mut moved = 0;
+            for slate in &experiment.slates {
+                for (&c, view) in slate.candidates.iter().zip(&slate.records) {
+                    let stored = experiment
+                        .engine
+                        .record((slate.trustor, c), PROFIT_TASK)
+                        .expect("seeded for every slate member");
+                    assert_eq!(bits(view), bits(&stored), "{:?} -> {c:?}", slate.trustor);
+                    assert_eq!(view.interactions, stored.interactions);
+                    moved += usize::from(stored.interactions > 0);
+                }
+            }
+            assert!(moved > 0, "{} folded no delegation", strategy.name());
+        }
     }
 
     #[test]

@@ -22,13 +22,26 @@
 //!
 //! The search also counts *inquired nodes* — every node the request
 //! reaches — which is the overhead metric of Fig. 12.
+//!
+//! # Cost model
+//!
+//! A search's cost is its floods' edge visits: trust math is a few ns per
+//! edge (Eq. 7 is two products and a sum), so what matters is what an edge
+//! visit reads. Coverage is a bit mask per node, computed once per search engine,
+//! so every context check is one AND against the task's mask. The execution
+//! link reads the holder's records about the peer into one scratch buffer
+//! reused across the flood's edges, and a recommendation link is a binary
+//! search in the holder's sorted row. Each flood reports the nodes it
+//! reached, so the aggressive method's inquiry overhead is the union of its
+//! per-characteristic floods plus the conservative flood whose candidates
+//! it merges — no flood runs twice.
 
 use crate::agent::AgentId;
 use crate::knowledge::Knowledge;
 use crate::tasks::TaskPool;
 use siot_core::backend::{BTreeBackend, TrustBackend};
-use siot_core::infer::{infer_characteristic, infer_task};
-use siot_core::task::{CharacteristicId, TaskId};
+use siot_core::infer::{infer_characteristic, infer_task, Experience};
+use siot_core::task::{Task, TaskId};
 use siot_core::transitivity::{two_hop, TransitivityGates};
 use siot_graph::SocialGraph;
 
@@ -88,6 +101,9 @@ pub struct TrusteeSearch<'a, B: TrustBackend<AgentId> = BTreeBackend<AgentId>> {
     graph: &'a SocialGraph,
     knowledge: &'a Knowledge<B>,
     pool: &'a TaskPool,
+    /// Per node: the characteristics its experienced tasks cover, one bit
+    /// per characteristic.
+    coverage: Vec<u64>,
     /// ω₁/ω₂ gates applied to recommendation / execution hops of the
     /// proposed methods (the traditional baseline is always ungated).
     pub gates: TransitivityGates,
@@ -96,17 +112,44 @@ pub struct TrusteeSearch<'a, B: TrustBackend<AgentId> = BTreeBackend<AgentId>> {
 }
 
 /// Per-method behaviour of one flood.
-struct FloodSpec<'s> {
+struct FloodSpec<'s, 'a> {
     /// May `v` relay the request (context restriction)?
     relay_ok: &'s dyn Fn(AgentId) -> bool,
     /// Recommendation trust for the hop `u → v` (intermediate links).
     rec_tw: &'s dyn Fn(AgentId, AgentId) -> Option<f64>,
     /// Execution trust for the final hop `u → v` (trustee link).
-    exec_tw: &'s dyn Fn(AgentId, AgentId) -> Option<f64>,
+    exec_tw: &'s dyn Fn(AgentId, AgentId, &mut Scratch<'a>) -> Option<f64>,
     /// May `v` be the executing trustee (context restriction)?
     trustee_ok: &'s dyn Fn(AgentId) -> bool,
     combine: Combine,
     gates: TransitivityGates,
+}
+
+/// Buffer one flood reuses for a holder's experiences with a peer.
+type Scratch<'a> = Vec<Experience<'a>>;
+
+/// What one flood (or the aggressive method's floods together) found.
+struct Flood {
+    /// Best transferred estimate per node that qualifies as a candidate.
+    estimates: Vec<Option<f64>>,
+    /// Every node the request reached.
+    reached: Vec<bool>,
+}
+
+impl Flood {
+    fn outcome(self) -> SearchOutcome {
+        let mut candidates: Vec<Candidate> = self
+            .estimates
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| {
+                v.map(|estimate| Candidate { trustee: AgentId::from(i as u32), estimate })
+            })
+            .collect();
+        sort_candidates(&mut candidates);
+        let inquired = self.reached.iter().filter(|&&r| r).count();
+        SearchOutcome { candidates, inquired }
+    }
 }
 
 impl<'a, B: TrustBackend<AgentId>> TrusteeSearch<'a, B> {
@@ -114,10 +157,20 @@ impl<'a, B: TrustBackend<AgentId>> TrusteeSearch<'a, B> {
     /// ω₂ = 0.3 ("preset trustworthiness with relatively high values",
     /// §4.3) and a 3-hop search horizon.
     pub fn new(graph: &'a SocialGraph, knowledge: &'a Knowledge<B>, pool: &'a TaskPool) -> Self {
+        let coverage = graph
+            .nodes()
+            .map(|v| {
+                knowledge
+                    .experienced(v)
+                    .iter()
+                    .fold(0, |m, &tid| m | characteristic_mask(pool.task(tid)))
+            })
+            .collect();
         TrusteeSearch {
             graph,
             knowledge,
             pool,
+            coverage,
             gates: TransitivityGates { omega1: 0.6, omega2: 0.3 },
             max_hops: 3,
         }
@@ -143,32 +196,60 @@ impl<'a, B: TrustBackend<AgentId>> TrusteeSearch<'a, B> {
                     &FloodSpec {
                         relay_ok: &|v| self.knowledge.experienced_exactly(v, task),
                         rec_tw: &record,
-                        exec_tw: &record,
+                        exec_tw: &|u, v, _| record(u, v),
                         trustee_ok: &|v| self.knowledge.experienced_exactly(v, task),
                         combine: Combine::Product,
                         gates: TransitivityGates::OPEN,
                     },
                 )
+                .outcome()
             }
-            SearchMethod::Conservative => {
-                let t = self.pool.task(task);
-                self.flood(
-                    trustor,
-                    is_trustee,
-                    &FloodSpec {
-                        relay_ok: &|v| self.knowledge.covers_all(v, t, self.pool),
-                        rec_tw: &|u, v| self.knowledge.recommendation_trust(u, v),
-                        exec_tw: &|u, v| {
-                            infer_task(t, &self.knowledge.experiences(u, v, self.pool)).ok()
-                        },
-                        trustee_ok: &|v| self.knowledge.covers_all(v, t, self.pool),
-                        combine: Combine::Eq7,
-                        gates: self.gates,
-                    },
-                )
-            }
-            SearchMethod::Aggressive => self.aggressive(trustor, task, is_trustee),
+            SearchMethod::Conservative => self.conservative(trustor, task, is_trustee).outcome(),
+            SearchMethod::Aggressive => self.aggressive(trustor, task, is_trustee).outcome(),
         }
+    }
+
+    /// Whether `v`'s experience covers every characteristic in `mask`.
+    fn covers(&self, v: AgentId, mask: u64) -> bool {
+        self.coverage[v.index()] & mask == mask
+    }
+
+    /// `u`'s records about `v` as Eq. 4 experiences, filled into `scratch`.
+    fn experiences<'s>(
+        &self,
+        u: AgentId,
+        v: AgentId,
+        scratch: &'s mut Scratch<'a>,
+    ) -> &'s [Experience<'a>] {
+        scratch.clear();
+        self.knowledge.engine(u).for_each_record(v, |tid, rec| {
+            scratch.push(Experience::new(self.pool.task(tid), rec.s_hat))
+        });
+        scratch
+    }
+
+    /// Conservative method: one flood whose relays and trustee all cover
+    /// the whole task.
+    fn conservative(
+        &self,
+        trustor: AgentId,
+        task: TaskId,
+        is_trustee: &dyn Fn(AgentId) -> bool,
+    ) -> Flood {
+        let t = self.pool.task(task);
+        let whole = characteristic_mask(t);
+        self.flood(
+            trustor,
+            is_trustee,
+            &FloodSpec {
+                relay_ok: &|v| self.covers(v, whole),
+                rec_tw: &|u, v| self.knowledge.recommendation_trust(u, v),
+                exec_tw: &|u, v, scratch| infer_task(t, self.experiences(u, v, scratch)).ok(),
+                trustee_ok: &|v| self.covers(v, whole),
+                combine: Combine::Eq7,
+                gates: self.gates,
+            },
+        )
     }
 
     /// One BFS flood carrying a single estimate.
@@ -176,18 +257,19 @@ impl<'a, B: TrustBackend<AgentId>> TrusteeSearch<'a, B> {
         &self,
         trustor: AgentId,
         is_trustee: &dyn Fn(AgentId) -> bool,
-        spec: &FloodSpec<'_>,
-    ) -> SearchOutcome {
+        spec: &FloodSpec<'_, 'a>,
+    ) -> Flood {
         let n = self.graph.node_count();
         // best recommendation-path value per node (all hops cleared ω₁)
         let mut rec_val: Vec<Option<f64>> = vec![None; n];
         let mut cand_val: Vec<Option<f64>> = vec![None; n];
         let mut reached = vec![false; n];
+        let mut scratch = Vec::new();
         rec_val[trustor.index()] = Some(1.0);
         let mut frontier = vec![trustor];
+        let mut next = Vec::new();
 
         for _hop in 0..self.max_hops {
-            let mut next = Vec::new();
             for &u in &frontier {
                 let base = rec_val[u.index()].expect("frontier nodes have values");
                 for &v in self.graph.neighbors(u) {
@@ -198,7 +280,7 @@ impl<'a, B: TrustBackend<AgentId>> TrusteeSearch<'a, B> {
                     // transferred estimate (recommendation chain folded
                     // with the execution link)
                     if is_trustee(v) && (spec.trustee_ok)(v) {
-                        if let Some(tw) = (spec.exec_tw)(u, v) {
+                        if let Some(tw) = (spec.exec_tw)(u, v, &mut scratch) {
                             reached[v.index()] = true;
                             let est = spec.combine.apply(base, tw);
                             if est >= spec.gates.omega2
@@ -226,52 +308,46 @@ impl<'a, B: TrustBackend<AgentId>> TrusteeSearch<'a, B> {
                     }
                 }
             }
-            frontier = next;
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
             if frontier.is_empty() {
                 break;
             }
         }
 
-        let mut candidates: Vec<Candidate> = cand_val
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| {
-                v.map(|estimate| Candidate { trustee: AgentId::from(i as u32), estimate })
-            })
-            .collect();
-        sort_candidates(&mut candidates);
-        let inquired = reached.iter().filter(|&&r| r).count();
-        SearchOutcome { candidates, inquired }
+        Flood { estimates: cand_val, reached }
     }
 
     /// Aggressive method: one flood per characteristic, then Eq. 17
-    /// recombination per trustee. Inquiry overhead is the union of nodes
-    /// reached across the floods.
+    /// recombination per trustee, merged with the conservative flood.
+    /// Inquiry overhead is the union of nodes all those floods reached.
     fn aggressive(
         &self,
         trustor: AgentId,
         task: TaskId,
         is_trustee: &dyn Fn(AgentId) -> bool,
-    ) -> SearchOutcome {
+    ) -> Flood {
         let t = self.pool.task(task);
+        let whole = characteristic_mask(t);
         let n = self.graph.node_count();
         let mut inquired_union = vec![false; n];
         // per characteristic: (weight, candidate estimates)
         let mut per_char: Vec<(f64, Vec<Option<f64>>)> = Vec::new();
 
         for &(c, w) in t.characteristics() {
+            let bit = 1u64 << c.0;
             let sub = self.flood(
                 trustor,
                 is_trustee,
                 &FloodSpec {
-                    relay_ok: &|v| self.knowledge.covers_characteristic(v, c, self.pool),
+                    relay_ok: &|v| self.covers(v, bit),
                     rec_tw: &|u, v| self.knowledge.recommendation_trust(u, v),
-                    exec_tw: &|u, v| {
-                        infer_characteristic(c, &self.knowledge.experiences(u, v, self.pool))
+                    exec_tw: &|u, v, scratch| {
+                        infer_characteristic(c, self.experiences(u, v, scratch))
                     },
                     // the trustee itself must cover the *whole* task
                     // (Eq. 12's union condition)
-                    trustee_ok: &|v| self.knowledge.covers_all(v, t, self.pool),
+                    trustee_ok: &|v| self.covers(v, whole),
                     combine: Combine::Eq7,
                     // ω₂ is applied below to the Eq. 17 combined estimate,
                     // not per characteristic — this keeps the aggressive
@@ -282,12 +358,8 @@ impl<'a, B: TrustBackend<AgentId>> TrusteeSearch<'a, B> {
                     gates: TransitivityGates { omega1: self.gates.omega1, omega2: 0.0 },
                 },
             );
-            let mut vals: Vec<Option<f64>> = vec![None; n];
-            for cand in &sub.candidates {
-                vals[cand.trustee.index()] = Some(cand.estimate);
-            }
-            per_char.push((w, vals));
-            self.mark_reached(trustor, c, t, is_trustee, &mut inquired_union);
+            union_into(&mut inquired_union, &sub.reached);
+            per_char.push((w, sub.estimates));
         }
 
         let mut est_by_node: Vec<Option<f64>> = vec![None; n];
@@ -311,72 +383,28 @@ impl<'a, B: TrustBackend<AgentId>> TrusteeSearch<'a, B> {
         // recommendation argument when the execution link sits below 0.5 —
         // without the merge, a candidate could pass the conservative ω₂
         // gate yet miss the aggressive one.
-        let cons = self.find(SearchMethod::Conservative, trustor, task, is_trustee);
-        for cand in &cons.candidates {
-            let slot = &mut est_by_node[cand.trustee.index()];
-            if slot.is_none_or(|e| cand.estimate > e) {
-                *slot = Some(cand.estimate);
-            }
-        }
-
-        let mut candidates: Vec<Candidate> = est_by_node
-            .iter()
-            .enumerate()
-            .filter_map(|(v, est)| {
-                est.map(|estimate| Candidate { trustee: AgentId::from(v as u32), estimate })
-            })
-            .collect();
-        sort_candidates(&mut candidates);
-        let inquired = inquired_union.iter().filter(|&&r| r).count().max(cons.inquired);
-        SearchOutcome { candidates, inquired }
-    }
-
-    /// Marks every node the characteristic-`c` flood reaches (relay or
-    /// trustee inquiry), mirroring `flood`'s qualification rules.
-    fn mark_reached(
-        &self,
-        trustor: AgentId,
-        c: CharacteristicId,
-        t: &siot_core::task::Task,
-        is_trustee: &dyn Fn(AgentId) -> bool,
-        reached: &mut [bool],
-    ) {
-        let mut seen = vec![false; self.graph.node_count()];
-        seen[trustor.index()] = true;
-        let mut frontier = vec![trustor];
-        for _ in 0..self.max_hops {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &v in self.graph.neighbors(u) {
-                    if v == trustor || seen[v.index()] {
-                        continue;
-                    }
-                    if is_trustee(v)
-                        && self.knowledge.covers_all(v, t, self.pool)
-                        && infer_characteristic(c, &self.knowledge.experiences(u, v, self.pool))
-                            .is_some()
-                    {
-                        reached[v.index()] = true;
-                    }
-                    if !self.knowledge.covers_characteristic(v, c, self.pool) {
-                        continue;
-                    }
-                    let Some(rec) = self.knowledge.recommendation_trust(u, v) else {
-                        continue;
-                    };
-                    reached[v.index()] = true;
-                    if rec < self.gates.omega1 {
-                        continue;
-                    }
-                    seen[v.index()] = true;
-                    next.push(v);
+        let cons = self.conservative(trustor, task, is_trustee);
+        for (slot, cand) in est_by_node.iter_mut().zip(cons.estimates) {
+            if let Some(e) = cand {
+                if slot.is_none_or(|cur| e > cur) {
+                    *slot = Some(e);
                 }
             }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
         }
+        union_into(&mut inquired_union, &cons.reached);
+
+        Flood { estimates: est_by_node, reached: inquired_union }
+    }
+}
+
+/// The characteristics of `task` as a coverage mask.
+fn characteristic_mask(task: &Task) -> u64 {
+    task.characteristic_ids().fold(0, |m, c| m | 1 << c.0)
+}
+
+fn union_into(acc: &mut [bool], reached: &[bool]) {
+    for (a, &r) in acc.iter_mut().zip(reached) {
+        *a |= r;
     }
 }
 
@@ -436,6 +464,28 @@ mod tests {
         let mut s = TrusteeSearch::new(g, k, pool);
         s.gates = TransitivityGates::OPEN;
         s
+    }
+
+    #[test]
+    fn coverage_masks_agree_with_knowledge() {
+        let g = GraphBuilder::new().edges([(0, 1), (1, 2), (2, 3), (3, 4)]).build().unwrap();
+        let mut rng = SmallRng::seed_from_u64(13);
+        let pool = TaskPool::generate(6, 6, &mut rng);
+        let k = Knowledge::seed(&g, &pool, 2, 0.05, &mut rng);
+        let search = TrusteeSearch::new(&g, &k, &pool);
+        for v in g.nodes() {
+            for t in pool.tasks() {
+                let whole = characteristic_mask(t);
+                assert_eq!(search.covers(v, whole), k.covers_all(v, t, &pool), "{v:?} {t:?}");
+                for c in t.characteristic_ids() {
+                    assert_eq!(
+                        search.covers(v, 1 << c.0),
+                        k.covers_characteristic(v, c, &pool),
+                        "{v:?} {c:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

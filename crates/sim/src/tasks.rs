@@ -14,14 +14,24 @@ use siot_core::task::{CharacteristicId, Task, TaskId};
 #[derive(Debug, Clone)]
 pub struct TaskPool {
     tasks: Vec<Task>,
+    /// Ids of the 2-characteristic types, in pool order.
+    pair_ids: Vec<TaskId>,
     n_characteristics: usize,
 }
 
 impl TaskPool {
     /// Builds a pool containing every 1-characteristic type plus
     /// `extra_pairs` random 2-characteristic types.
+    ///
+    /// The alphabet holds at most 64 characteristics: the trustee search
+    /// keeps each node's coverage as one `u64` bit mask.
     pub fn generate(n_characteristics: usize, extra_pairs: usize, rng: &mut SmallRng) -> Self {
         assert!(n_characteristics >= 1, "need at least one characteristic");
+        assert!(
+            n_characteristics <= 64,
+            "at most 64 characteristics (the width of the search's coverage mask), got \
+             {n_characteristics}"
+        );
         let mut tasks = Vec::new();
         let mut next_id = 0u32;
         for c in 0..n_characteristics as u32 {
@@ -39,14 +49,16 @@ impl TaskPool {
             }
         }
         pairs.shuffle(rng);
+        let mut pair_ids = Vec::new();
         for &(a, b) in pairs.iter().take(extra_pairs) {
             tasks.push(
                 Task::uniform(TaskId(next_id), [CharacteristicId(a), CharacteristicId(b)])
                     .expect("pair task"),
             );
+            pair_ids.push(TaskId(next_id));
             next_id += 1;
         }
-        TaskPool { tasks, n_characteristics }
+        TaskPool { tasks, pair_ids, n_characteristics }
     }
 
     /// All task types.
@@ -83,11 +95,10 @@ impl TaskPool {
     /// transitivity experiment), falling back to any task if the pool has
     /// no pairs.
     pub fn random_pair_task(&self, rng: &mut SmallRng) -> TaskId {
-        let pairs: Vec<&Task> = self.tasks.iter().filter(|t| t.len() == 2).collect();
-        if pairs.is_empty() {
+        if self.pair_ids.is_empty() {
             return self.random_task(rng);
         }
-        pairs[rng.gen_range(0..pairs.len())].id()
+        self.pair_ids[rng.gen_range(0..self.pair_ids.len())]
     }
 
     /// `count` distinct experienced task ids for one node.
@@ -135,6 +146,12 @@ mod tests {
             let id = pool.random_pair_task(&mut r);
             assert_eq!(pool.task(id).len(), 2);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 characteristics")]
+    fn alphabet_wider_than_the_coverage_mask_is_refused() {
+        TaskPool::generate(65, 0, &mut rng());
     }
 
     #[test]
