@@ -4,9 +4,10 @@
 //! through the one-shard router) and a two-node fleet — over in-memory
 //! shards and over durable `LogBackend` shards, and checks the whole
 //! surface against a sequential `TrustStore` fold: registration, awaited,
-//! batched and pipelined commits, `complete`, evaluation and decisions,
-//! reads at every freshness, stats, flush, idempotent shutdown, and a
-//! typed error for every operation after it. The engines each tier hands
+//! batched and pipelined commits, racing closed read→decide→commit loops,
+//! `complete`, evaluation and decisions, reads at every freshness, stats,
+//! flush, idempotent shutdown, and a typed error for every operation after
+//! it. The engines each tier hands
 //! back — and, for the durable runs, the reopened shard directories —
 //! must equal the fold bit for bit.
 
@@ -46,19 +47,140 @@ fn evaluation_request(peer: u32, task: &Task) -> DelegationRequest<u32> {
 }
 
 /// What every tier must end up holding: the streams folded sequentially,
-/// plus the one `complete`d session.
-fn reference(streams: &[Vec<Step>]) -> TrustStore<u32> {
+/// every worker's closed loop replayed one after another, plus the one
+/// `complete`d session. Also returns what each loop observed.
+fn reference(streams: &[Vec<Step>]) -> (TrustStore<u32>, Vec<Vec<Round>>) {
     let mut engine = common::run_sequential(streams);
     engine.register_task(task());
     engine.register_task(inferred_task());
+    let rounds = streams
+        .iter()
+        .enumerate()
+        .map(|(worker, stream)| closed_loop(&mut engine, worker, stream))
+        .collect();
     let session = complete_request().activate(&engine).finish(complete_outcome());
     engine.commit(session.expect("in-range outcome"), &ServiceOptions::default().betas);
-    engine
+    (engine, rounds)
 }
 
-fn record_bits(rec: Option<TrustRecord>) -> Option<(u64, u64, u64, u64, u64)> {
+type RecordBits = (u64, u64, u64, u64, u64);
+
+fn record_bits(rec: Option<TrustRecord>) -> Option<RecordBits> {
     rec.map(|r| {
         (r.s_hat.to_bits(), r.g_hat.to_bits(), r.d_hat.to_bits(), r.c_hat.to_bits(), r.interactions)
+    })
+}
+
+/// Worker `w`'s closed loop chooses among its own peers
+/// `LOOP_BASE + 10·w + c`, `c < LOOP_CANDIDATES`.
+const LOOP_BASE: u32 = 1_000;
+const LOOP_CANDIDATES: u32 = 3;
+
+fn loop_peer(worker: usize, candidate: u32) -> u32 {
+    LOOP_BASE + 10 * worker as u32 + candidate
+}
+
+/// What the closed loop needs: a served handle, or the engine of the
+/// sequential replay.
+trait LoopTarget {
+    fn read(&mut self, peer: u32) -> Option<TrustRecord>;
+    fn decide(&mut self, request: DelegationRequest<u32>) -> Decision<u32>;
+    fn commit(&mut self, completed: CompletedDelegation<u32>) -> DelegationReceipt<u32>;
+}
+
+impl LoopTarget for TrustStore<u32> {
+    fn read(&mut self, peer: u32) -> Option<TrustRecord> {
+        self.record(peer, TaskId(0))
+    }
+    fn decide(&mut self, request: DelegationRequest<u32>) -> Decision<u32> {
+        request.evaluate(self).into_decision()
+    }
+    fn commit(&mut self, completed: CompletedDelegation<u32>) -> DelegationReceipt<u32> {
+        TrustStore::commit(self, completed, &options().betas)
+    }
+}
+
+/// A served handle, every call awaited before the next.
+struct Served<H>(H);
+
+impl<H: TrustApi<u32>> LoopTarget for Served<H> {
+    fn read(&mut self, peer: u32) -> Option<TrustRecord> {
+        block_on(self.0.record(peer, TaskId(0))).expect("relaxed read")
+    }
+    fn decide(&mut self, request: DelegationRequest<u32>) -> Decision<u32> {
+        block_on(self.0.delegate(request)).expect("decide")
+    }
+    fn commit(&mut self, completed: CompletedDelegation<u32>) -> DelegationReceipt<u32> {
+        block_on(self.0.commit(completed)).expect("commit")
+    }
+}
+
+/// What one round of a closed loop observed: every candidate's record,
+/// the chosen candidate, and the record its awaited commit returned
+/// (`None` when the decision declined).
+#[derive(Debug, PartialEq)]
+struct Round {
+    reads: Vec<Option<RecordBits>>,
+    chosen: u32,
+    committed: Option<RecordBits>,
+}
+
+/// One worker's closed read→decide→commit loop, a round per step of its
+/// stream: read every candidate `Relaxed`, choose the best by Eq. 23
+/// expected net profit (strangers score 0.99, explored first), take the
+/// §3.4 decision under an optimistic prior, and commit the step's outcome
+/// if it delegates. The next round's reads must see that awaited commit
+/// (read-your-awaited-writes), so racing workers over disjoint peers each
+/// observe exactly what the sequential replay does.
+fn closed_loop(target: &mut impl LoopTarget, worker: usize, stream: &[Step]) -> Vec<Round> {
+    let optimistic = TrustRecord::with_priors(1.0, 1.0, 0.0, 0.0);
+    stream
+        .iter()
+        .map(|&(_, obs, abusive, _)| {
+            let reads: Vec<_> =
+                (0..LOOP_CANDIDATES).map(|c| target.read(loop_peer(worker, c))).collect();
+            let score = |rec: &Option<TrustRecord>| rec.map_or(0.99, |r| r.expected_net_profit());
+            let chosen = (0..LOOP_CANDIDATES)
+                .max_by(|&a, &b| score(&reads[b as usize]).total_cmp(&score(&reads[a as usize])))
+                .expect("candidates");
+            let request = DelegationRequest::new(
+                loop_peer(worker, chosen),
+                &task(),
+                Goal::profitable(),
+                Context::amicable(TaskId(0)),
+            )
+            .with_prior(optimistic);
+            let committed = match target.decide(request) {
+                Decision::Delegate(active) => {
+                    let outcome = DelegationOutcome::observed(obs);
+                    let outcome = if abusive == 1 { outcome.abusive() } else { outcome };
+                    let completed = active.finish(outcome).expect("generated in-range");
+                    Some(target.commit(completed).record)
+                }
+                Decision::Decline { .. } => None,
+            };
+            Round {
+                reads: reads.into_iter().map(record_bits).collect(),
+                chosen,
+                committed: record_bits(committed),
+            }
+        })
+        .collect()
+}
+
+/// Every worker's closed loop at once, one thread and one handle clone
+/// each.
+fn race_loops<H: TrustApi<u32>>(handle: &H, streams: &[Vec<Step>]) -> Vec<Vec<Round>> {
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = streams
+            .iter()
+            .enumerate()
+            .map(|(worker, stream)| {
+                let mut served = Served(handle.clone());
+                scope.spawn(move || closed_loop(&mut served, worker, stream))
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("loop thread completes")).collect()
     })
 }
 
@@ -102,7 +224,7 @@ fn conformance<H: TrustApi<u32>>(
     shards: usize,
     streams: &[Vec<Step>],
 ) -> Result<(), TestCaseError> {
-    let reference = reference(streams);
+    let (reference, loops) = reference(streams);
     block_on(handle.register_task(task())).expect("register");
     block_on(handle.register_task(inferred_task())).expect("register");
 
@@ -122,6 +244,9 @@ fn conformance<H: TrustApi<u32>>(
     for p in pending {
         block_on(p).expect("pipelined commit");
     }
+
+    // racing closed loops see what the sequential replay saw, round by round
+    prop_assert_eq!(&race_loops(handle, streams), &loops);
 
     // the whole session in one round trip; an invalid outcome folds nothing
     let receipt =
@@ -177,7 +302,8 @@ fn conformance<H: TrustApi<u32>>(
     // one stats entry per shard, every folded session counted once
     let stats = block_on(handle.shard_stats()).expect("stats");
     prop_assert_eq!(stats.len(), shards);
-    let folded: usize = streams.iter().map(Vec::len).sum::<usize>() + 1;
+    let looped = loops.iter().flatten().filter(|round| round.committed.is_some()).count();
+    let folded: usize = streams.iter().map(Vec::len).sum::<usize>() + looped + 1;
     prop_assert_eq!(stats.iter().map(|s| s.committed).sum::<u64>(), folded as u64);
     prop_assert!(stats.iter().all(|s| s.mailbox_capacity == options().mailbox));
 
@@ -289,7 +415,7 @@ proptest! {
     /// Every tier conforms over in-memory shards.
     #[test]
     fn every_tier_conforms_in_memory(streams in streams()) {
-        let reference = reference(&streams);
+        let (reference, _) = reference(&streams);
         for (name, tier) in tiers() {
             let engines = named(name, tier(&|_| TrustStore::new(), &streams))?;
             named(name, shards_bit_identical(&engines, &reference))?;
@@ -300,7 +426,7 @@ proptest! {
     /// reopened shard directory replays to the state its actor held.
     #[test]
     fn every_tier_conforms_durable_and_reopens(streams in streams()) {
-        let reference = reference(&streams);
+        let (reference, _) = reference(&streams);
         for (name, tier) in tiers() {
             let root = tmpdir("conformance");
             let open = |shard| TrustEngine::open_shard(&root, shard).expect("shard dir opens");
