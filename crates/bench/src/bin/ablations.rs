@@ -1,6 +1,8 @@
-//! Behavioural ablations of the design choices called out in DESIGN.md §7:
-//! what the paper's ingredients buy, each measured by swapping one piece
-//! for its baseline.
+//! Behavioural ablations of the model's design choices — the Eq. 7
+//! two-hop combiner, characteristic-level inference, Cannikin environment
+//! aggregation, Louvain community detection, the reverse-evaluation θ and
+//! the three transfer methods: what each of the paper's ingredients buys,
+//! measured by swapping one piece for its baseline.
 
 use siot_bench::fmt::{f2, pct, Table};
 use siot_bench::runner::seed_from_env;

@@ -1,13 +1,6 @@
-//! Shared experiment execution for the binaries, the benches, and the
-//! shape tests.
+//! Shared experiment execution for the binaries and the shape tests.
 
 use crate::paper;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use siot_core::backend::TrustBackend;
-use siot_core::record::{ForgettingFactors, Observation};
-use siot_core::store::TrustEngine;
-use siot_core::task::TaskId;
 use siot_graph::generate::features::synthesize_features;
 use siot_graph::generate::social::SocialNetKind;
 use siot_graph::SocialGraph;
@@ -96,52 +89,9 @@ pub fn feature_transitivity(seed: u64) -> Vec<(SocialNetKind, SearchMethod, Tran
     out
 }
 
-/// Synthesizes a delegation-outcome stream for the storage benches: `n`
-/// observations round-robined over `peers × tasks` keys, so `n ≤ peers ×
-/// tasks` yields exactly `n` distinct records and larger `n` exercises the
-/// update path too. Observation values are seeded-random.
-pub fn backend_workload(
-    n: usize,
-    peers: u32,
-    tasks: u32,
-    seed: u64,
-) -> Vec<(u32, TaskId, Observation)> {
-    assert!(peers > 0 && tasks > 0);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let peer = (i as u32) % peers;
-            let task = TaskId(((i as u32) / peers) % tasks);
-            let obs = Observation {
-                success_rate: rng.gen_range(0.0..1.0),
-                gain: rng.gen_range(0.0..1.0),
-                damage: rng.gen_range(0.0..1.0),
-                cost: rng.gen_range(0.0..1.0),
-            };
-            (peer, task, obs)
-        })
-        .collect()
-}
-
-/// Replays `workload` through a fresh engine over backend `B`, folding in
-/// `chunk`-sized [`TrustEngine::observe_batch`] calls (the shape every
-/// large simulation uses). Returns the warmed engine for inspection.
-pub fn replay_workload<B: TrustBackend<u32>>(
-    workload: &[(u32, TaskId, Observation)],
-    chunk: usize,
-) -> TrustEngine<u32, B> {
-    let mut engine: TrustEngine<u32, B> = TrustEngine::new();
-    let betas = ForgettingFactors::figures();
-    for batch in workload.chunks(chunk.max(1)) {
-        engine.observe_batch(batch, &betas).expect("workload observations are unit-range");
-    }
-    engine
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siot_core::backend::{BTreeBackend, ShardedBackend};
 
     #[test]
     fn seed_env_parsing() {
@@ -154,28 +104,6 @@ mod tests {
         for kind in SocialNetKind::ALL {
             let g = network(kind, 1);
             assert!(g.node_count() > 200);
-        }
-    }
-
-    #[test]
-    fn workload_covers_distinct_records_then_updates() {
-        let w = backend_workload(20_000, 5_000, 2, 9);
-        assert_eq!(w.len(), 20_000);
-        let engine = replay_workload::<BTreeBackend<u32>>(&w, 512);
-        // 10k distinct keys observed twice each
-        assert_eq!(engine.record_count(), 10_000);
-        assert_eq!(engine.record(0, TaskId(0)).unwrap().interactions, 2);
-    }
-
-    #[test]
-    fn backends_replay_identically() {
-        let w = backend_workload(8_000, 1_000, 3, 11);
-        let bt = replay_workload::<BTreeBackend<u32>>(&w, 256);
-        let sh = replay_workload::<ShardedBackend<u32>>(&w, 256);
-        assert_eq!(bt.record_count(), sh.record_count());
-        assert_eq!(bt.known_peers(), sh.known_peers());
-        for &(p, t, _) in &w {
-            assert_eq!(bt.record(p, t), sh.record(p, t));
         }
     }
 }

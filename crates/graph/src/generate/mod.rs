@@ -3,7 +3,8 @@
 //! The classic models (Erdős–Rényi, Barabási–Albert, Watts–Strogatz) are
 //! provided for tests and ablations; [`social`] is the community-structured
 //! generator that synthesizes the three evaluation networks of the paper
-//! (Facebook, Google+, Twitter sub-networks — see Table 1 and DESIGN.md §2).
+//! (Facebook, Google+, Twitter sub-networks of Table 1), standing in for
+//! the SNAP extracts, which are not redistributable.
 
 pub mod barabasi_albert;
 pub mod erdos_renyi;

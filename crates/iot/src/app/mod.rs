@@ -5,6 +5,6 @@ pub mod coordinator;
 pub mod trustee;
 pub mod trustor;
 
-pub use coordinator::{CoordinatorApp, ServedCoordinatorApp};
+pub use coordinator::CoordinatorApp;
 pub use trustee::{TrusteeApp, TrusteeBehavior};
 pub use trustor::{RoundLog, Scoring, TrustorApp, TrustorConfig};

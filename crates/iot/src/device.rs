@@ -14,19 +14,6 @@ impl DeviceId {
     }
 }
 
-/// Device ids serialize into durable trust logs over their dense index, so
-/// a coordinator's fleet ledger can live in a
-/// [`LogBackend`](siot_core::log_backend::LogBackend) store.
-impl siot_core::log_backend::LogKey for DeviceId {
-    fn to_log_u64(self) -> u64 {
-        self.0 as u64
-    }
-
-    fn from_log_u64(raw: u64) -> Self {
-        DeviceId(raw as u32)
-    }
-}
-
 impl fmt::Display for DeviceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "dev{}", self.0)

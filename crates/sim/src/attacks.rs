@@ -17,8 +17,6 @@
 //!   trustworthiness is established, then degrades; contained by
 //!   continuous updates with a finite memory β.
 
-use crate::agent::AgentId;
-use crate::knowledge::Knowledge;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use siot_core::context::Context;
@@ -74,7 +72,7 @@ impl Attack {
     }
 
     /// The quality an attacker delivers on its `n`-th interaction.
-    pub fn delivered_quality(&self, n: u64, rng: &mut SmallRng) -> f64 {
+    fn delivered_quality(&self, n: u64, rng: &mut SmallRng) -> f64 {
         match *self {
             Attack::SelfPromotion { actual, .. } => jitter(actual, rng),
             Attack::OpportunisticService { good, bad, honeymoon } => {
@@ -86,7 +84,7 @@ impl Attack {
     }
 
     /// The quality an attacker *advertises*.
-    pub fn advertised_quality(&self) -> f64 {
+    fn advertised_quality(&self) -> f64 {
         match *self {
             Attack::SelfPromotion { claimed, .. } => claimed,
             Attack::OpportunisticService { good, .. } => good,
@@ -191,35 +189,6 @@ pub fn execution_attack_resilience(
     }
 }
 
-/// Applies a recommendation attack to a [`Knowledge`] base: `attacker`
-/// rewrites its records about every peer (bad-mouthing lowers good peers,
-/// ballot-stuffing raises bad ones). Returns how many records changed.
-///
-/// Each rewrite is an executed delegation session inside the attacker's
-/// engine (see [`Knowledge::set_record`]), so the poisoned records carry
-/// rising interaction counts — the rewrite burst a defence can detect.
-pub fn poison_recommendations(
-    knowledge: &mut Knowledge,
-    attacker: AgentId,
-    attack: Attack,
-    peers: &[(AgentId, Vec<TaskId>)],
-) -> usize {
-    let reported = match attack {
-        Attack::BadMouthing { reported } | Attack::BallotStuffing { reported } => reported,
-        _ => return 0,
-    };
-    let mut changed = 0;
-    for (peer, tasks) in peers {
-        for &t in tasks {
-            if knowledge.record(attacker, *peer, t).is_some() {
-                knowledge.set_record(attacker, *peer, t, reported);
-                changed += 1;
-            }
-        }
-    }
-    changed
-}
-
 /// Measures how much a poisoned recommender can shift a two-hop estimate
 /// before and after the trustor downgrades its recommendation trust.
 ///
@@ -288,43 +257,6 @@ mod tests {
         assert!(attack.delivered_quality(0, &mut rng) > 0.7);
         assert!(attack.delivered_quality(2, &mut rng) > 0.7);
         assert!(attack.delivered_quality(3, &mut rng) < 0.3);
-    }
-
-    #[test]
-    fn poison_rewrites_only_existing_records_and_leaves_a_trace() {
-        use crate::tasks::TaskPool;
-        use siot_graph::GraphBuilder;
-
-        let g = GraphBuilder::new().edges([(0, 1), (1, 2), (0, 2)]).build().unwrap();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let pool = TaskPool::generate(4, 4, &mut rng);
-        let mut k = Knowledge::seed(&g, &pool, 2, 0.0, &mut rng);
-
-        let attacker = AgentId::from(0u32);
-        let victim = AgentId::from(1u32);
-        let stranger_task = TaskId(9999); // never experienced by anyone
-        let peers = vec![(victim, vec![k.experienced(victim)[0], stranger_task])];
-        let changed = poison_recommendations(
-            &mut k,
-            attacker,
-            Attack::BadMouthing { reported: 0.05 },
-            &peers,
-        );
-        assert_eq!(changed, 1, "only the existing record is rewritten");
-        let tid = k.experienced(victim)[0];
-        assert_eq!(k.record(attacker, victim, tid), Some(0.05));
-        assert!(k.record(attacker, victim, stranger_task).is_none());
-        // the rewrite went through a session: the interaction count rose
-        assert_eq!(k.engine(attacker).record(victim, tid).unwrap().interactions, 1);
-
-        // execution attacks never rewrite recommendations
-        let untouched = poison_recommendations(
-            &mut k,
-            attacker,
-            Attack::SelfPromotion { claimed: 1.0, actual: 0.0 },
-            &peers,
-        );
-        assert_eq!(untouched, 0);
     }
 
     #[test]

@@ -8,32 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation; 0 for fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
-/// Centered moving average with window `w` (edges use the available
-/// samples). Used to smooth the Fig. 13 profit series.
-pub fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
-    if w <= 1 || xs.is_empty() {
-        return xs.to_vec();
-    }
-    let half = w / 2;
-    (0..xs.len())
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(xs.len());
-            mean(&xs[lo..hi])
-        })
-        .collect()
-}
-
 /// A streaming ratio counter (numerator over denominator).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Ratio {
@@ -67,21 +41,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_slices() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(std_dev(&[1.0]), 0.0);
-        assert!((std_dev(&[2.0, 4.0]) - (2.0f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let xs = [0.0, 1.0, 0.0, 1.0, 0.0];
-        let sm = moving_average(&xs, 3);
-        assert_eq!(sm.len(), xs.len());
-        assert!((sm[2] - (1.0 + 0.0 + 1.0) / 3.0).abs() < 1e-12);
-        assert_eq!(moving_average(&xs, 1), xs.to_vec());
-        assert!(moving_average(&[], 5).is_empty());
     }
 
     #[test]

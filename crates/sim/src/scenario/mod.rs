@@ -3,5 +3,4 @@
 pub mod environment;
 pub mod mutuality;
 pub mod profit;
-pub mod service;
 pub mod transitivity;

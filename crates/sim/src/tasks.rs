@@ -87,7 +87,7 @@ impl TaskPool {
     }
 
     /// A random task type id.
-    pub fn random_task(&self, rng: &mut SmallRng) -> TaskId {
+    fn random_task(&self, rng: &mut SmallRng) -> TaskId {
         self.tasks[rng.gen_range(0..self.tasks.len())].id()
     }
 
