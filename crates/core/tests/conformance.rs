@@ -7,9 +7,8 @@
 //! batched and pipelined commits, racing closed read→decide→commit loops,
 //! `complete`, evaluation and decisions, reads at every freshness, stats,
 //! flush, idempotent shutdown, and a typed error for every operation after
-//! it. The engines each tier hands
-//! back — and, for the durable runs, the reopened shard directories —
-//! must equal the fold bit for bit.
+//! it. The engines each tier hands back — and, for the durable runs, the
+//! reopened shard directories — must equal the fold bit for bit.
 
 use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
@@ -140,8 +139,11 @@ fn closed_loop(target: &mut impl LoopTarget, worker: usize, stream: &[Step]) -> 
             let reads: Vec<_> =
                 (0..LOOP_CANDIDATES).map(|c| target.read(loop_peer(worker, c))).collect();
             let score = |rec: &Option<TrustRecord>| rec.map_or(0.99, |r| r.expected_net_profit());
+            // the best score wins; ties go to the lower candidate
             let chosen = (0..LOOP_CANDIDATES)
-                .max_by(|&a, &b| score(&reads[b as usize]).total_cmp(&score(&reads[a as usize])))
+                .max_by(|&a, &b| {
+                    score(&reads[a as usize]).total_cmp(&score(&reads[b as usize])).then(b.cmp(&a))
+                })
                 .expect("candidates");
             let request = DelegationRequest::new(
                 loop_peer(worker, chosen),
